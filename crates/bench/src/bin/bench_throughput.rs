@@ -6,8 +6,10 @@
 //!
 //! * **fused** — group-identifier computation (k = 20, l = 5) through the
 //!   fused single-pass [`ars_lsh::CompiledGroup`] kernels vs the
-//!   per-function compiled loop, per paper family. Floor asserted: ≥5×
-//!   for the bit-shuffle families.
+//!   per-function compiled loop, per paper family. Floors asserted: ≥5×
+//!   for the bit-shuffle families; for linear, whose per-function loop
+//!   runs the same closed form (speedup ≈1×), fused linear within 6× of
+//!   fused approx. min-wise in the same run.
 //! * **engine** — queries/second over a Zipf trace through the
 //!   one-at-a-time path, the pre-sharding batch (parallel hashing only),
 //!   the sharded batch engine (parallel hashing + parallel routing +
@@ -49,6 +51,7 @@ fn fused_section(json: &mut String) {
         .queries()
         .to_vec();
     let mut first = true;
+    let mut fused_us = Vec::new();
     json.push_str("  \"fused_identifiers\": {\n");
     for kind in LshFamilyKind::PAPER_FAMILIES {
         let mut rng = DetRng::new(5);
@@ -86,6 +89,7 @@ fn fused_section(json: &mut String) {
                 kind.name()
             );
         }
+        fused_us.push((kind, per_query_us));
         let sep = if first { "" } else { ",\n" };
         first = false;
         json.push_str(&format!(
@@ -94,6 +98,17 @@ fn fused_section(json: &mut String) {
         ));
     }
     json.push_str("\n  },\n");
+    // The linear family has no per-function baseline to beat (both loops
+    // run the Euclidean closed form), so its floor is relative to the
+    // cheapest family: one range-min per interval per function must stay
+    // within 6× a fused approx. min-wise evaluation.
+    let us_of = |k| fused_us.iter().find(|&&(kind, _)| kind == k).unwrap().1;
+    let ratio = us_of(LshFamilyKind::Linear) / us_of(LshFamilyKind::ApproxMinWise);
+    println!("fused linear / fused approx. min-wise: {ratio:.2}x");
+    assert!(
+        ratio <= 6.0,
+        "fused linear must cost ≤6x fused approx. min-wise per query, got {ratio:.1}x"
+    );
 }
 
 /// Worker counts for the concurrent scaling sweep; override with

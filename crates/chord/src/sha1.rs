@@ -6,6 +6,19 @@
 //! well-distributed deterministic map from peer addresses to ring
 //! positions — for which it remains perfectly serviceable.
 
+/// Initial hash value per FIPS 180-1.
+const H0: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
+
+/// Longest message whose padding fits in the same 64-byte block: the
+/// 0x80 marker and the 8-byte length need 9 bytes.
+const ONE_BLOCK_MAX: usize = 55;
+
 /// Streaming SHA-1 hasher.
 #[derive(Debug, Clone)]
 pub struct Sha1 {
@@ -27,13 +40,7 @@ impl Sha1 {
     /// Initial state per FIPS 180-1.
     pub fn new() -> Sha1 {
         Sha1 {
-            state: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
+            state: H0,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -54,7 +61,7 @@ impl Sha1 {
             data = &data[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
-                self.process_block(&block);
+                process_block(&mut self.state, &block);
                 self.buf_len = 0;
             } else {
                 // Buffer still partial ⇒ the input is exhausted; falling
@@ -66,7 +73,7 @@ impl Sha1 {
         // Whole blocks straight from the input.
         let mut chunks = data.chunks_exact(64);
         for block in &mut chunks {
-            self.process_block(block.try_into().unwrap());
+            process_block(&mut self.state, block.try_into().unwrap());
         }
         let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
@@ -76,63 +83,86 @@ impl Sha1 {
     /// Finish and produce the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.len.checked_mul(8).expect("SHA-1 message too long");
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Manual length append (bypasses update's len accounting on purpose).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.process_block(&block);
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn process_block(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for t in 16..80 {
-            w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (t, &wt) in w.iter().enumerate() {
-            let (f, k) = match t {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wt);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        finish(&mut self.state, &self.buf[..self.buf_len], bit_len)
     }
 }
 
-/// One-shot SHA-1 of a byte slice.
+/// Pad the message's last partial block `tail` (< 64 bytes) with 0x80,
+/// zeros and the 64-bit big-endian bit length, compress it — spilling into
+/// a second block when the length no longer fits — and return the digest.
+fn finish(state: &mut [u32; 5], tail: &[u8], bit_len: u64) -> [u8; 20] {
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    if tail.len() > ONE_BLOCK_MAX {
+        process_block(state, &block);
+        block = [0u8; 64];
+    }
+    block[56..].copy_from_slice(&bit_len.to_be_bytes());
+    process_block(state, &block);
+    let mut out = [0u8; 20];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// One SHA-1 round: `e`'s slot takes the new word, the others rotate.
+#[inline(always)]
+fn round(s: &mut [u32; 5], f: u32, k: u32, wt: u32) {
+    let [a, b, c, d, e] = *s;
+    let temp = a
+        .rotate_left(5)
+        .wrapping_add(f)
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(wt);
+    *s = [temp, a, b.rotate_left(30), c, d];
+}
+
+/// Compress one 64-byte block into `state`: the 80 rounds as four
+/// 20-round phases, each with its own round function and constant.
+fn process_block(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 80];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+    }
+    for t in 16..80 {
+        w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
+    }
+    let mut s = *state;
+    for &wt in &w[0..20] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, (b & c) | (!b & d), 0x5A82_7999, wt);
+    }
+    for &wt in &w[20..40] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, wt);
+    }
+    for &wt in &w[40..60] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, (b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wt);
+    }
+    for &wt in &w[60..80] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0xCA62_C1D6, wt);
+    }
+    for (h, v) in state.iter_mut().zip(s) {
+        *h = h.wrapping_add(v);
+    }
+}
+
+/// One-shot SHA-1 of a byte slice, compressing straight from the input.
+/// Messages of at most 55 bytes — every placement key and peer address —
+/// pad into a single block on the stack and cost one compression.
 pub fn sha1(data: &[u8]) -> [u8; 20] {
-    let mut h = Sha1::new();
-    h.update(data);
-    h.finalize()
+    let mut state = H0;
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        process_block(&mut state, block.try_into().unwrap());
+    }
+    // A slice holds at most isize::MAX bytes, so the bit length fits.
+    finish(&mut state, blocks.remainder(), data.len() as u64 * 8)
 }
 
 /// Truncate a SHA-1 digest to a 32-bit identifier (big-endian first word),
@@ -193,6 +223,19 @@ mod tests {
                 h.update(c);
             }
             assert_eq!(h.finalize(), oneshot, "chunk size {chunk}");
+        }
+    }
+
+    #[test]
+    fn oneshot_equals_streaming_at_every_length() {
+        // Crosses the 55/56-byte (padding spills) and 64-byte boundaries.
+        let data: Vec<u8> = (0..=120u8).map(|i| i.wrapping_mul(37) ^ 0x5c).collect();
+        for len in 0..=120 {
+            let mut h = Sha1::new();
+            for c in data[..len].chunks(7) {
+                h.update(c);
+            }
+            assert_eq!(sha1(&data[..len]), h.finalize(), "length {len}");
         }
     }
 

@@ -44,9 +44,9 @@
 //! story: degraded availability during the window, convergence after it.
 
 use crate::bucket::Match;
-use crate::config::{Placement, SystemConfig};
+use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
-use crate::network::{QueryOutcome, RangeSelectNetwork};
+use crate::network::{place_identifier, QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
@@ -551,13 +551,6 @@ impl ChurnNetwork {
         )
     }
 
-    fn place(&self, identifier: u32) -> Id {
-        match self.config.placement {
-            Placement::Uniformized => Id(ars_chord::sha1::sha1_u32(&identifier.to_be_bytes())),
-            Placement::Direct => Id(identifier),
-        }
-    }
-
     /// Fresh durable store for a peer, if durability is configured.
     fn make_store(config: &SystemConfig, id: u32) -> Option<BucketStore> {
         config
@@ -734,7 +727,9 @@ impl ChurnNetwork {
                 let donor = self.storage.get(&succ.0).expect("successor storage exists");
                 donor
                     .entries()
-                    .filter(|(ident, _)| self.place(*ident).in_open_closed(pred, new))
+                    .filter(|(ident, _)| {
+                        place_identifier(&self.config, *ident).in_open_closed(pred, new)
+                    })
                     .map(|(ident, range)| (ident, range.clone()))
                     .collect()
             };
@@ -1062,8 +1057,10 @@ impl ChurnNetwork {
     /// membership oracle, not routing state, so it is correct even while
     /// finger tables are stale.
     pub fn replica_owners(&self, identifier: u32) -> Vec<Id> {
-        self.chord
-            .true_successors(self.place(identifier), self.config.replication)
+        self.chord.true_successors(
+            place_identifier(&self.config, identifier),
+            self.config.replication,
+        )
     }
 
     /// Restore the successor-replication invariant: every cached
@@ -1254,7 +1251,7 @@ impl ChurnNetwork {
         let mut attempts_total = 0usize;
         let mut best: Option<Match> = None;
         for &ident in &identifiers {
-            let key = self.place(ident);
+            let key = place_identifier(&self.config, ident);
             match self.lookup_with_retry(origin, key, &mut wall) {
                 Ok((owner, h, attempts)) => {
                     hops.push(h);
@@ -1355,8 +1352,11 @@ impl ChurnNetwork {
                 let targets = if partitioned {
                     // A write cannot cross the split: cache the partition
                     // at the island-local owners only.
-                    self.chord
-                        .island_successors(origin, self.place(ident), self.config.replication)
+                    self.chord.island_successors(
+                        origin,
+                        place_identifier(&self.config, ident),
+                        self.config.replication,
+                    )
                 } else {
                     self.replica_owners(ident)
                 };
@@ -1434,7 +1434,9 @@ impl ChurnNetwork {
         let mut reached = 0usize;
         let mut best: Option<Match> = None;
         for &ident in &identifiers {
-            let (owner, h) = self.chord.lookup(origin, self.place(ident))?;
+            let (owner, h) = self
+                .chord
+                .lookup(origin, place_identifier(&self.config, ident))?;
             hops.push(h);
             owners.push(owner);
             let Some(peer) = self.storage.get(&owner.0) else {

@@ -355,7 +355,9 @@ impl StatsSink for NetworkStats {
 }
 
 /// Ring position of a partition identifier under `config`'s placement
-/// policy. Pure; shared by the network and the concurrent engine.
+/// policy. Pure; the one placement function of every query path —
+/// sequential, engine, churn, multi-attribute and message-passing.
+#[inline]
 pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
     match config.placement {
         Placement::Uniformized => Id(ars_chord::sha1::sha1_u32(&identifier.to_be_bytes())),

@@ -12,8 +12,8 @@
 //! equal, query for query, to the direct-call one.
 
 use crate::bucket::Match;
-use crate::config::{MatchMeasure, Placement, SystemConfig};
-use crate::network::QueryOutcome;
+use crate::config::{MatchMeasure, SystemConfig};
+use crate::network::{place_identifier, QueryOutcome};
 use crate::peer::Peer;
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
@@ -496,14 +496,6 @@ impl ProtoNetwork {
         self.net.stats().delivered
     }
 
-    /// Ring position of an identifier under the configured placement.
-    fn place(&self, identifier: u32) -> u32 {
-        match self.config.placement {
-            Placement::Uniformized => ars_chord::sha1::sha1_u32(&identifier.to_be_bytes()),
-            Placement::Direct => identifier,
-        }
-    }
-
     /// Execute one query through the message protocol. Semantically
     /// identical to [`crate::RangeSelectNetwork::query`].
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
@@ -534,7 +526,7 @@ impl ProtoNetwork {
                 origin_idx,
                 origin_idx,
                 ProtoMsg::Route {
-                    key: self.place(ident),
+                    key: place_identifier(&self.config, ident).0,
                     ident,
                     hops: 0,
                     payload: Payload::FindMatch {
@@ -596,7 +588,7 @@ impl ProtoNetwork {
                     origin_idx,
                     origin_idx,
                     ProtoMsg::Route {
-                        key: self.place(ident),
+                        key: place_identifier(&self.config, ident).0,
                         ident,
                         hops: 0,
                         payload: Payload::Store {
@@ -710,13 +702,6 @@ impl ThreadedProtoNetwork {
         self.net.is_empty()
     }
 
-    fn place(&self, identifier: u32) -> u32 {
-        match self.config.placement {
-            Placement::Uniformized => ars_chord::sha1::sha1_u32(&identifier.to_be_bytes()),
-            Placement::Direct => identifier,
-        }
-    }
-
     /// Execute one query across the peer threads. Blocks until the
     /// protocol quiesces.
     ///
@@ -746,7 +731,7 @@ impl ThreadedProtoNetwork {
                 origin_idx,
                 origin_idx,
                 ProtoMsg::Route {
-                    key: self.place(ident),
+                    key: place_identifier(&self.config, ident).0,
                     ident,
                     hops: 0,
                     payload: Payload::FindMatch {
@@ -803,7 +788,7 @@ impl ThreadedProtoNetwork {
                     origin_idx,
                     origin_idx,
                     ProtoMsg::Route {
-                        key: self.place(ident),
+                        key: place_identifier(&self.config, ident).0,
                         ident,
                         hops: 0,
                         payload: Payload::Store {

@@ -18,11 +18,14 @@ pub enum LshFamilyKind {
     MinWise,
     /// First iteration only (single 32-bit key).
     ApproxMinWise,
-    /// `π(x) = a·x + b mod p` evaluated by enumeration (as the paper times it).
+    /// `π(x) = a·x + b mod p` over the 32-bit modulus. [`LshFunction::min_hash`]
+    /// and [`LshFunction::compile`] evaluate it with the closed-form
+    /// `O(log p)` interval minimum (DESIGN.md §6.2); the enumeration the
+    /// paper's Fig. 5 times is [`LshFunction::min_hash_enumerate`].
     Linear,
-    /// `π(x) = a·x + b mod p` with the closed-form `O(log p)` interval
-    /// minimum — our extension (DESIGN.md §6.2); hash values are identical
-    /// to [`LshFamilyKind::Linear`].
+    /// The same family as [`LshFamilyKind::Linear`], drawn and evaluated
+    /// identically; a separate label so Fig. 5 can time the closed form
+    /// next to the paper's enumeration.
     LinearClosedForm,
     /// `π(x) = a·x + b mod p` with `p = 1009`, a permutation of the §5.1
     /// *attribute domain* rather than the 32-bit space. Identifiers then

@@ -33,7 +33,7 @@
 
 use crate::family::CompiledLshFunction;
 use crate::grp::BitPerm;
-use crate::linear::{min_affine_mod, LinearPerm};
+use crate::linear::LinearPerm;
 use crate::range::RangeSet;
 use crate::rangeaware::RangeAwareBitPerm;
 
@@ -242,12 +242,8 @@ impl CompiledGroup {
             }
             FusedFns::Linear(fns) => {
                 for &(lo, hi) in q.intervals() {
-                    let n = (hi - lo) as u64;
                     for (p, m) in fns.iter().zip(mins.iter_mut()) {
-                        let (a, b) = p.coefficients();
-                        let md = p.modulus();
-                        let c = ((a as u128 * lo as u128 + b as u128) % md as u128) as u64;
-                        *m = (*m).min(min_affine_mod(a, c, md, n) as u32);
+                        *m = (*m).min(p.min_interval(lo, hi));
                     }
                 }
             }

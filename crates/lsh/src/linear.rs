@@ -2,11 +2,13 @@
 //! Broder et al.).
 //!
 //! The paper evaluates this family by enumerating every value of the range
-//! set ([`LinearPerm::min_hash_enumerate`]); because an affine map is
-//! monotone-with-wraparound over a contiguous interval, the minimum can
-//! also be computed in `O(log p)` per interval without touching the values
-//! ([`LinearPerm::min_hash`]) — an optimization we benchmark as an ablation
-//! (DESIGN.md §6.2). Both must agree; a property test enforces it.
+//! set ([`LinearPerm::min_hash_enumerate`]). An affine map sends a
+//! contiguous interval to an arithmetic progression mod `p`, so its minimum
+//! can instead be found without touching the values, as in Gudmundsson &
+//! Pagh's range-efficient consistent sampling: [`min_affine_mod`] runs a
+//! Euclidean recursion over the progression's wraparounds, at most
+//! `2·⌈log_φ p⌉` levels per interval ([`LinearPerm::min_hash`],
+//! DESIGN.md §6.2). Both evaluations agree; property tests enforce it.
 
 use crate::range::RangeSet;
 use ars_common::DetRng;
@@ -86,7 +88,8 @@ impl LinearPerm {
     /// Apply the permutation to one value.
     #[inline]
     pub fn permute(&self, x: u32) -> u32 {
-        ((self.a as u128 * x as u128 + self.b as u128) % self.m as u128) as u32
+        // a, b < m ≤ 2³² and x < 2³², so a·x + b < 2⁶⁴.
+        ((self.a * x as u64 + self.b) % self.m) as u32
     }
 
     /// Min-hash by enumerating every value of the set — the evaluation the
@@ -101,55 +104,95 @@ impl LinearPerm {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.intervals()
             .iter()
-            .map(|&(lo, hi)| {
-                // min over x in [lo, hi] of (a·x + b) mod p
-                //   = min over i in [0, hi-lo] of (a·i + c) mod p,
-                //     c = (a·lo + b) mod p.
-                let c = ((self.a as u128 * lo as u128 + self.b as u128) % self.m as u128) as u64;
-                min_affine_mod(self.a, c, self.m, (hi - lo) as u64) as u32
-            })
+            .map(|&(lo, hi)| self.min_interval(lo, hi))
             .min()
             .unwrap()
+    }
+
+    /// `min π(x)` over `x ∈ [lo, hi]`, in closed form: the interval's
+    /// values map to `(a·i + π(lo)) mod p` for `i ∈ [0, hi − lo]`.
+    #[inline]
+    pub(crate) fn min_interval(&self, lo: u32, hi: u32) -> u32 {
+        min_affine_mod(self.a, self.permute(lo) as u64, self.m, (hi - lo) as u64) as u32
     }
 }
 
 /// Minimum of `(a·i + b) mod m` over `i ∈ [0, n]` (inclusive), in
 /// `O(log m)` time.
 ///
-/// Works by observing that between wraparounds the sequence is increasing,
-/// so the minimum is the start of some "ramp"; ramp-start values themselves
-/// form an affine-mod sequence with modulus `a`, giving a Euclid-style
-/// recursion `(m, a) → (a, m mod a)`.
+/// Between wraparounds the sequence increases by `a`, so the minimum is
+/// the start of some ramp. The ramp starts `(b − j·m) mod a` decrease by
+/// `m mod a` (modulo `a`) from one wrap to the next, and the minimum of a
+/// decreasing sequence is the end of one of *its* ramps (or its last
+/// term); those ramp ends increase again, by `a mod (m mod a)` modulo
+/// `m mod a`. Alternating the two phases walks the moduli down Euclid's
+/// sequence `m → a → m mod a → …`, so a call takes at most
+/// `2·⌈log_φ m⌉` levels whatever the coefficients (about seven for a
+/// random step over a 1,000-value range at `m = 2³² − 5`).
+///
+/// With `m < 2³²` and `n < 2³²` every product `a·n + b` stays below
+/// `2⁶⁴`, so 64-bit arithmetic suffices.
 ///
 /// # Panics
-/// Panics if `m == 0`.
+/// Panics if `m == 0`, `m ≥ 2³²` or `n ≥ 2³²`.
 pub fn min_affine_mod(a: u64, b: u64, m: u64, n: u64) -> u64 {
+    min_affine_mod_levels(a, b, m, n).0
+}
+
+/// [`min_affine_mod`] and the number of phases (recursion levels) it ran.
+#[inline(always)]
+fn min_affine_mod_levels(a: u64, b: u64, m: u64, n: u64) -> (u64, u32) {
     assert!(m > 0, "modulus must be positive");
-    let mut a = a % m;
-    let mut b = b % m;
-    let mut m = m;
-    let mut n = n;
-    let mut best = u64::MAX;
+    assert!(
+        m <= u32::MAX as u64 && n <= u32::MAX as u64,
+        "operands must fit in 32 bits"
+    );
+    // Moduli, steps and values stay below 2³², so only the `a·n` products
+    // need 64 bits; the reductions by the next step are 32-bit.
+    let (mut a, mut b, mut m, mut n) = ((a % m) as u32, (b % m) as u32, m as u32, n as u32);
+    let mut best = u32::MAX;
+    let mut levels = 0;
     loop {
-        // The first ramp starts at i = 0 with value b.
+        // Increasing phase: min over i ∈ [0, n] of (a·i + b) mod m.
+        levels += 1;
         best = best.min(b);
-        if n == 0 || a == 0 {
-            return best;
+        if a == 0 || best == 0 {
+            return (best as u64, levels);
         }
-        // Number of wraparounds within i ∈ [0, n].
-        let wraps = ((a as u128 * n as u128 + b as u128) / m as u128) as u64;
+        let wraps = ((a as u64 * n as u64 + b as u64) / m as u64) as u32;
         if wraps == 0 {
-            return best;
+            return (best as u64, levels);
         }
-        // Ramp j (j = 1..=wraps) starts at value v_j = (b − j·m) mod a,
-        // i.e. an affine sequence in j with step c = (−m) mod a and first
-        // element v_1 = (b mod a + c) mod a. Recurse over j − 1 ∈ [0, wraps−1].
-        let c = (a - m % a) % a;
-        let v1 = (b % a + c) % a;
-        n = wraps - 1;
-        b = v1;
-        m = a;
-        a = c;
+        // Ramp j ∈ [1, wraps] starts at (b − j·m) mod a: first value
+        // (b − m) mod a, then down by m mod a each wrap.
+        let r = m % a;
+        let b_mod = b % a;
+        let first = if b_mod >= r {
+            b_mod - r
+        } else {
+            b_mod + (a - r)
+        };
+        (a, b, m, n) = (r, first, a, wraps - 1);
+
+        // Decreasing phase: min over j ∈ [0, n] of (b − a·j) mod m. Each
+        // ramp bottoms out just before a wrap (at a value < a), or at the
+        // last term.
+        levels += 1;
+        let an = a as u64 * n as u64;
+        let (q, rem) = ((an / m as u64) as u32, (an % m as u64) as u32);
+        let last = if b >= rem { b - rem } else { b + (m - rem) };
+        best = best.min(last);
+        if a == 0 || best == 0 {
+            return (best as u64, levels);
+        }
+        // Wraps within j ∈ [0, n]: ⌈(a·n − b) / m⌉ clamped at 0.
+        let wraps = q + (rem > b) as u32;
+        if wraps == 0 {
+            return (best as u64, levels);
+        }
+        // The first ramp ends at b mod a; each later one at the previous
+        // end plus m, reduced mod a: an increasing sequence again.
+        (a, b, m, n) = (m % a, b % a, a, wraps - 1);
     }
 }
 
@@ -262,6 +305,69 @@ mod tests {
         let q = RangeSet::interval(0, MODULUS as u32 - 1);
         // A permutation of [0, p) over the whole domain attains 0.
         assert_eq!(p.min_hash(&q), 0);
+        // a = p − 1 is the subtractive recursion's worst case (one level
+        // per unit of range); the Euclidean one needs a few levels.
+        for b in [0, 1, 12_345, MODULUS - 1] {
+            let p = LinearPerm::new(MODULUS - 1, b);
+            assert_eq!(p.min_hash(&q), 0);
+            assert_eq!(p.min_hash(&RangeSet::interval(0, u32::MAX)), 0);
+        }
+    }
+
+    /// The coefficients that stall a subtractive recursion: tiny steps and
+    /// steps just below `p/3`, `p/2` and `p`.
+    fn adversarial_coefficients(p: u64) -> [u64; 6] {
+        [1, 2, (p - 1) / 3, (p - 1) / 2, p - 2, p - 1]
+    }
+
+    #[test]
+    fn adversarial_coefficients_match_enumeration() {
+        for (p, widths) in [
+            (MODULUS, &[0u32, 1, 2, 999, 2_000, 3_460][..]),
+            (DOMAIN_MODULUS, &[0, 1, 2, 336, 504, 1_008, 1_500][..]),
+        ] {
+            for a in adversarial_coefficients(p) {
+                for b in [0, 1, p / 2, p - 1] {
+                    let perm = LinearPerm::with_modulus(a, b, p);
+                    for lo in [0u32, 1, 500, 1_000] {
+                        for &w in widths {
+                            let q = RangeSet::interval(lo, lo + w);
+                            assert_eq!(
+                                perm.min_hash(&q),
+                                perm.min_hash_enumerate(&q),
+                                "p={p} a={a} b={b} [{lo}, {}]",
+                                lo + w
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recursion_depth_is_logarithmic() {
+        let golden = (1.0 + 5f64.sqrt()) / 2.0;
+        for p in [MODULUS, DOMAIN_MODULUS] {
+            let bound = 2 * ((p as f64).ln() / golden.ln()).ceil() as u32;
+            // Euclid's worst case: a step near p/φ makes every quotient 1.
+            let fib = (p as f64 / golden) as u64;
+            let mut coeffs = adversarial_coefficients(p).to_vec();
+            coeffs.extend([fib, fib + 1, p - fib]);
+            let mut rng = DetRng::new(13);
+            coeffs.extend((0..200).map(|_| 1 + rng.gen_range_u64(p - 1)));
+            for a in coeffs {
+                for b in [0, 1, p / 3, p - 1] {
+                    for n in [1, 1_000, p / 2, p - 1, (1 << 32) - 1] {
+                        let (_, levels) = min_affine_mod_levels(a, b, p, n);
+                        assert!(
+                            levels <= bound,
+                            "p={p} a={a} b={b} n={n}: {levels} > {bound}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

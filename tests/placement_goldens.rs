@@ -13,7 +13,7 @@
 
 use ars_core::config::MatchMeasure;
 use ars_core::{RangeSelectNetwork, SystemConfig};
-use ars_lsh::RangeSet;
+use ars_lsh::{LshFamilyKind, RangeSet};
 
 /// FNV-1a over a byte slice, folded into `h`.
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -187,6 +187,36 @@ fn padded_containment_outcomes_match_pre_layered_goldens() {
         assert_eq!(
             d, GOLDEN_PADDED[seed as usize],
             "padded-path outcomes diverged from the pre-layered goldens at seed {seed}"
+        );
+    }
+}
+
+/// Digests of the linear family (`π(x) = a·x + b mod p`, hashed through
+/// the closed-form range-min) at seeds 0–3, captured before the Euclidean
+/// `min_affine_mod` and the one-block SHA-1 path landed: both kernels must
+/// stay value-identical.
+const GOLDEN_LINEAR: [u64; 4] = [
+    0x0ee5_7de3_fa40_7a19,
+    0x7082_79fa_8028_e5d8,
+    0xa1f9_be26_66b0_6466,
+    0x50f6_8936_9726_88ca,
+];
+
+#[test]
+fn linear_family_outcomes_match_goldens() {
+    for seed in 0u64..4 {
+        let d = digest(
+            SystemConfig::default()
+                .with_seed(seed)
+                .with_family(LshFamilyKind::Linear),
+        );
+        if std::env::var("ARS_PRINT_GOLDENS").is_ok() {
+            println!("linear seed {seed}: 0x{d:016x}");
+            continue;
+        }
+        assert_eq!(
+            d, GOLDEN_LINEAR[seed as usize],
+            "linear-family outcomes diverged from the goldens at seed {seed}"
         );
     }
 }

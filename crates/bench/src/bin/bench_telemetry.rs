@@ -61,7 +61,7 @@ fn identifiers_checksum(groups: &HashGroups, q: &RangeSet) -> u32 {
     groups.identifiers(q).iter().fold(0, |acc, &id| acc ^ id)
 }
 
-/// The per-query telemetry calls `finish_query` makes, against `tel`.
+/// The per-query telemetry calls `network::commit` makes, against `tel`.
 fn per_query_telemetry(tel: &Telemetry, checksum: u32) {
     tel.counter_add("core.queries", 1);
     tel.record("core.lookup.hops", u64::from(checksum % 7));

@@ -11,21 +11,18 @@
 //!   runs the same closed form (speedup ≈1×), fused linear within 6× of
 //!   fused approx. min-wise in the same run.
 //! * **engine** — queries/second over a Zipf trace through the
-//!   one-at-a-time path, the pre-sharding batch (parallel hashing only),
-//!   the sharded batch engine (parallel hashing + parallel routing +
-//!   sequential commit, with per-stage timings exposing the commit
-//!   residue), and the concurrent worker-peer engine swept over worker
-//!   counts (`ARS_ENGINE_WORKERS`, default `1,2,4`). Floors asserted:
-//!   sharded ≥3× the pre-sharding batch, and — on ≥4 available cores —
-//!   concurrent ≥2× sequential. Equivalence asserted before timing:
-//!   sequential-exact paths bit-identical, concurrent engine
+//!   one-at-a-time sequential path and the concurrent worker-peer engine
+//!   swept over worker counts (`ARS_ENGINE_WORKERS`, default `1,2,4`).
+//!   Floors asserted: the 1-worker engine ≥0.35× sequential in the same
+//!   run, and — on ≥4 available cores — the best engine ≥2× sequential.
+//!   Equivalence asserted before timing: the concurrent engine is
 //!   schedule-invariant and equal to sequential modulo `hops`.
 //! * **route_cache** — hit rates and mean hops on a live (churning)
 //!   network across Zipf skews, cached vs uncached.
 //!
 //! Usage: `cargo run --release -p ars-bench --bin bench_throughput`
 
-use ars_core::{BatchTimings, ChurnNetwork, EngineOptions, RangeSelectNetwork, SystemConfig};
+use ars_core::{ChurnNetwork, EngineOptions, RangeSelectNetwork, SystemConfig};
 use ars_lsh::{HashGroups, LshFamilyKind, RangeSet};
 use ars_workload::zipf_trace;
 use std::time::Instant;
@@ -112,20 +109,23 @@ fn fused_section(json: &mut String) {
 }
 
 /// Worker counts for the concurrent scaling sweep; override with
-/// `ARS_ENGINE_WORKERS=1,2,4,8`. CI uploads the sweep so measured
-/// scaling at each runner's core count accumulates toward the ROADMAP
-/// ≥8×-on-16-cores target.
+/// `ARS_ENGINE_WORKERS=1,2,4,8`. One worker is always measured: the
+/// overhead floor is asserted against it. CI uploads the sweep so
+/// measured scaling at each runner's core count accumulates toward the
+/// ROADMAP ≥8×-on-16-cores target.
 fn sweep_workers() -> Vec<usize> {
-    std::env::var("ARS_ENGINE_WORKERS")
-        .ok()
+    let mut workers: Vec<usize> = std::env::var("ARS_ENGINE_WORKERS")
         .map(|s| {
             s.split(',')
                 .filter_map(|w| w.trim().parse().ok())
                 .filter(|&w| w >= 1)
                 .collect()
         })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
+        .unwrap_or_else(|_| vec![1, 2, 4]);
+    if !workers.contains(&1) {
+        workers.insert(0, 1);
+    }
+    workers
 }
 
 fn engine_section(json: &mut String) {
@@ -137,22 +137,14 @@ fn engine_section(json: &mut String) {
         .queries()
         .to_vec();
 
-    // Equivalence before speed: the sequential-exact paths agree with the
-    // one-at-a-time loop bit for bit...
+    // Equivalence before speed: the concurrent engine is
+    // schedule-invariant — the inline reference, the single-worker engine,
+    // and a multi-worker engine all produce identical outcomes; vs the
+    // sequential loop only `hops` (whose origins come from per-shard RNG
+    // streams) may differ.
     let pristine = RangeSelectNetwork::new(N_PEERS, config);
     let mut seq = pristine.clone();
-    let mut legacy = pristine.clone();
-    let mut sharded = pristine.clone();
     let out_seq: Vec<_> = queries.iter().map(|q| seq.query(q)).collect();
-    let out_legacy = legacy.query_batch_legacy(&queries);
-    let out_sharded = sharded.query_batch(&queries);
-    assert_eq!(out_seq, out_legacy, "pre-sharding batch diverged");
-    assert_eq!(out_seq, out_sharded, "sharded batch diverged");
-    assert_eq!(seq.stats(), sharded.stats());
-    // ...and the concurrent engine is schedule-invariant: the inline
-    // reference, the single-worker engine, and a multi-worker engine all
-    // produce identical outcomes; vs the sequential loop only `hops`
-    // (whose origins come from per-shard RNG streams) may differ.
     let out_ref = {
         let mut net = pristine.clone();
         net.query_trace_sharded(&queries, SHARDS)
@@ -194,43 +186,10 @@ fn engine_section(json: &mut String) {
             std::hint::black_box(net.query(q));
         }
     });
-    let legacy_qps = qps("legacy_batch", &mut |net| {
-        std::hint::black_box(net.query_batch_legacy(&queries));
-    });
-    let sharded_qps = qps("sharded", &mut |net| {
-        std::hint::black_box(net.query_batch(&queries));
-    });
-
-    // Where the sharded batch spends its time: per-stage medians expose
-    // the sequential-commit bottleneck the concurrent engine removes.
-    let mut stage_samples: Vec<BatchTimings> = (0..SAMPLES)
-        .map(|_| {
-            let mut net = pristine.clone();
-            let (outs, timings) = net.query_batch_timed(&queries);
-            std::hint::black_box(outs);
-            timings
-        })
-        .collect();
-    let stage_median = |pick: fn(&BatchTimings) -> f64, samples: &mut Vec<BatchTimings>| {
-        let mut v: Vec<f64> = samples.iter().map(pick).collect();
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let hash_s = stage_median(|t| t.hash_secs, &mut stage_samples);
-    let route_s = stage_median(|t| t.route_secs, &mut stage_samples);
-    let commit_s = stage_median(|t| t.commit_secs, &mut stage_samples);
-    let total_s = hash_s + route_s + commit_s;
-    println!(
-        "engine sharded stages: hash {:.0}% route {:.0}% commit {:.0}% (commit is the sequential residue)",
-        hash_s / total_s * 100.0,
-        route_s / total_s * 100.0,
-        commit_s / total_s * 100.0
-    );
-
     // The concurrent engine: worker sweep at a fixed shard count.
     let workers_sweep = sweep_workers();
     let mut sweep_json = String::new();
-    let mut best_conc_qps = 0f64;
+    let mut conc_qps = Vec::new();
     for &workers in &workers_sweep {
         let w_qps = qps(&format!("concurrent_w{workers}"), &mut |net| {
             let opts = EngineOptions {
@@ -240,26 +199,28 @@ fn engine_section(json: &mut String) {
             };
             std::hint::black_box(net.query_batch_concurrent_with(&queries, opts));
         });
-        best_conc_qps = best_conc_qps.max(w_qps);
+        conc_qps.push((workers, w_qps));
         sweep_json.push_str(&format!(
             "{}\"workers_{workers}\": {w_qps:.0}",
             if sweep_json.is_empty() { "" } else { ", " }
         ));
     }
 
-    let vs_legacy = sharded_qps / legacy_qps;
-    let vs_seq = sharded_qps / seq_qps;
+    let best_conc_qps = conc_qps.iter().map(|&(_, q)| q).fold(0f64, f64::max);
     let conc_vs_seq = best_conc_qps / seq_qps;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!(
-        "engine sharded vs pre-sharding batch {vs_legacy:.1}x, vs sequential {vs_seq:.1}x; \
-         concurrent vs sequential {conc_vs_seq:.2}x at {cores} cores"
-    );
+    println!("engine concurrent vs sequential {conc_vs_seq:.2}x at {cores} cores");
+    // The engine's fixed overhead (channel, locks, scheduler) measured
+    // against the path it must eventually beat: one worker may cost at
+    // most ~3× the sequential loop per query. The lowest recorded ratio
+    // on a 2-core box is 0.44×.
+    let one_vs_seq = conc_qps.iter().find(|&&(w, _)| w == 1).unwrap().1 / seq_qps;
+    println!("engine 1 worker vs sequential {one_vs_seq:.2}x");
     assert!(
-        vs_legacy >= 3.0,
-        "sharded engine must be ≥3x the pre-sharding batch, got {vs_legacy:.1}x"
+        one_vs_seq >= 0.35,
+        "1-worker engine must be ≥0.35x sequential, got {one_vs_seq:.2}x"
     );
     // The headline floor: ≥2× sequential on ≥4 cores. Gated on available
     // parallelism — commit concurrency cannot manifest on a 1-core
@@ -272,7 +233,7 @@ fn engine_section(json: &mut String) {
         );
     }
     json.push_str(&format!(
-        "  \"engine\": {{\n    \"peers\": {N_PEERS}, \"queries\": {N_QUERIES}, \"shards\": {SHARDS},\n    \"sequential_qps\": {seq_qps:.0},\n    \"legacy_batch_qps\": {legacy_qps:.0},\n    \"sharded_batch_qps\": {sharded_qps:.0},\n    \"sharded_vs_legacy_batch\": {vs_legacy:.2},\n    \"sharded_vs_sequential\": {vs_seq:.2},\n    \"sharded_stages_secs\": {{\"hash\": {hash_s:.4}, \"route\": {route_s:.4}, \"commit\": {commit_s:.4}}},\n    \"concurrent_qps\": {{{sweep_json}}},\n    \"concurrent_vs_sequential\": {conc_vs_seq:.2},\n    \"available_cores\": {cores},\n    \"scaling_assert_gated\": {scaling_gated}\n  }},\n"
+        "  \"engine\": {{\n    \"peers\": {N_PEERS}, \"queries\": {N_QUERIES}, \"shards\": {SHARDS},\n    \"sequential_qps\": {seq_qps:.0},\n    \"concurrent_qps\": {{{sweep_json}}},\n    \"one_worker_vs_sequential\": {one_vs_seq:.2},\n    \"concurrent_vs_sequential\": {conc_vs_seq:.2},\n    \"available_cores\": {cores},\n    \"scaling_assert_gated\": {scaling_gated}\n  }},\n"
     ));
 }
 

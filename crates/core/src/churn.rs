@@ -46,7 +46,7 @@
 use crate::bucket::Match;
 use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
-use crate::network::{place_identifier, QueryOutcome, RangeSelectNetwork};
+use crate::network::{keep_better, place_identifier, QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
@@ -1305,13 +1305,7 @@ impl ChurnNetwork {
                         }
                     }
                     if let Some(m) = candidate {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => m.score > b.score,
-                        };
-                        if better {
-                            best = Some(m);
-                        }
+                        keep_better(&mut best, m);
                     }
                 }
                 Err(spent) => {
@@ -1449,13 +1443,7 @@ impl ChurnNetwork {
                 peer.best_in_bucket(ident, &hashed_range, self.config.matching)
             };
             if let Some(m) = candidate {
-                let better = match &best {
-                    None => true,
-                    Some(b) => m.score > b.score,
-                };
-                if better {
-                    best = Some(m);
-                }
+                keep_better(&mut best, m);
             }
         }
 

@@ -1,12 +1,10 @@
 //! The concurrent query engine: per-shard commit, per-shard RNG streams,
 //! and a long-lived worker-peer runtime.
 //!
-//! The batched path in [`crate::network`] parallelizes hashing and
-//! routing but funnels every commit through one sequential loop to keep
-//! outcomes bit-identical to [`RangeSelectNetwork::query`] — so batch
-//! throughput is bounded by a single core no matter how wide the machine
-//! is. This module breaks that ceiling by partitioning the network's
-//! mutable state into **shards**:
+//! The sequential path ([`RangeSelectNetwork::query`]) plans and commits
+//! one query at a time on one core. The engine runs the same
+//! [`QueryPlan`]/[`commit`] pair on a worker pool by partitioning the
+//! network's mutable state into **shards**:
 //!
 //! * each shard owns a slice of the peers (by ring position), a segment
 //!   of the [`IdentifierCache`], and its own [`NetworkStats`]
@@ -64,10 +62,10 @@
 //! cache-counter sums, cache segments re-concatenated and re-trimmed,
 //! RNG advanced to stream 0's final state).
 
-use crate::config::{PlacementMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::network::{
-    commit_layered, commit_routed, place_identifier, plan_layered, IdentifierCache, LayeredPlan,
-    NetworkStats, PeerAccess, QueryOutcome, RangeSelectNetwork, StatsSink,
+    commit, hashed_range, IdentifierCache, NetworkStats, PeerAccess, QueryOutcome, QueryPlan,
+    RangeSelectNetwork, StatsSink,
 };
 use crate::peer::Peer;
 use crate::resilient::BASE_SERVICE;
@@ -304,26 +302,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A query after its read-only phase: hashed, identifiers resolved (via
-/// the owning cache segment), routes computed against the immutable ring
-/// — everything the commit needs, plus the sorted set of shards it will
-/// lock.
+/// A query after its read-only phase: identifiers resolved through the
+/// owning cache segment and the plan built against the immutable ring —
+/// everything the commit needs, plus the sorted set of shards it locks.
 struct Prepared {
     query: RangeSet,
-    hashed: RangeSet,
-    identifiers: Vec<u32>,
-    plan: PreparedPlan,
+    plan: QueryPlan,
     shards: Vec<usize>,
-}
-
-/// The routed form of a prepared query, one variant per placement mode.
-enum PreparedPlan {
-    /// Independent placement: one resolved route per identifier
-    /// (duplicates share the memoized route; the commit skips their
-    /// lookup).
-    Independent(Vec<(Id, usize)>),
-    /// Layered placement: the single arc lookup plus walk/candidate sets.
-    Layered(LayeredPlan),
 }
 
 /// The shared immutable context plus the shard array.
@@ -378,8 +363,8 @@ impl StatsSink for ShardStats<'_> {
         stats.lookups += 1;
         stats.total_hops += hops as u64;
     }
-    fn on_dedup_saved(&mut self) {
-        self.shards[self.home].stats.lock().dedup_saved_lookups += 1;
+    fn on_dedup_saved(&mut self, count: usize) {
+        self.shards[self.home].stats.lock().dedup_saved_lookups += count as u64;
     }
     fn on_walk(&mut self, steps: usize) {
         self.shards[self.home].stats.lock().walk_steps += steps as u64;
@@ -388,17 +373,10 @@ impl StatsSink for ShardStats<'_> {
         self.shards[self.home].stats.lock().probe_checks += count as u64;
     }
     fn on_query(&mut self, matched: bool, exact: bool, stored: bool) {
-        let mut stats = self.shards[self.home].stats.lock();
-        stats.queries += 1;
-        if matched {
-            stats.matched += 1;
-        }
-        if exact {
-            stats.exact += 1;
-        }
-        if stored {
-            stats.stored += 1;
-        }
+        self.shards[self.home]
+            .stats
+            .lock()
+            .on_query(matched, exact, stored);
     }
 }
 
@@ -448,44 +426,35 @@ impl EngineCore {
     }
 
     /// The read-only phase: pad, resolve identifiers through the owning
-    /// cache segment, route every identifier from `origin` against the
-    /// immutable ring, and record which shards the commit will touch.
+    /// cache segment, plan the query from `origin` against the immutable
+    /// ring, and record which shards the commit will touch.
     fn prepare(&self, q: &RangeSet, origin: Id) -> Prepared {
         assert!(!q.is_empty(), "cannot query an empty range");
         #[cfg(test)]
         self.check_poison(q, "prepare");
-        let hashed = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
-        let segment = segment_of(&hashed, self.nshards);
+        let hashed = hashed_range(q, self.config.padding);
+        let segment = &self.shards[segment_of(&hashed, self.nshards)].cache;
         let cached = {
-            let mut cache = self.shards[segment].cache.lock();
-            match cache.get_hit(&hashed) {
-                Some(ids) => {
-                    self.telemetry.counter_add("core.ident_cache.hits", 1);
-                    Some(ids)
-                }
-                None => {
-                    cache.note_miss();
-                    self.telemetry.counter_add("core.ident_cache.misses", 1);
-                    None
-                }
+            let mut cache = segment.lock();
+            let ids = cache.get_hit(&hashed);
+            if ids.is_none() {
+                cache.note_miss();
             }
+            ids
         };
         let identifiers = match cached {
-            Some(ids) => ids,
+            Some(ids) => {
+                self.telemetry.counter_add("core.ident_cache.hits", 1);
+                ids
+            }
             None => {
+                self.telemetry.counter_add("core.ident_cache.misses", 1);
                 // Hash outside the lock — the k·l min-hashes dominate the
                 // prepare cost and are pure. Two workers racing on the
                 // same fresh range both miss (the relaxation); `insert`
                 // deduplicates the entry itself.
                 let ids = self.groups.identifiers(&hashed);
-                let evicted = self.shards[segment]
-                    .cache
-                    .lock()
-                    .insert(hashed.clone(), ids.clone());
+                let evicted = segment.lock().insert(hashed.clone(), ids.clone());
                 if evicted > 0 {
                     self.telemetry
                         .counter_add("core.ident_cache.evictions", evicted);
@@ -493,57 +462,23 @@ impl EngineCore {
                 ids
             }
         };
-        let (plan, mut shards) = match self.config.placement_mode {
-            PlacementMode::Independent => {
-                // Route each distinct identifier once (duplicates reuse
-                // the memoized route), mirroring the sequential path.
-                let mut memo: FxHashMap<u32, (Id, usize)> = FxHashMap::default();
-                let routes: Vec<(Id, usize)> = identifiers
-                    .iter()
-                    .map(|&ident| {
-                        *memo.entry(ident).or_insert_with(|| {
-                            self.ring
-                                .lookup(origin, place_identifier(&self.config, ident))
-                        })
-                    })
-                    .collect();
-                let shards: Vec<usize> = routes
-                    .iter()
-                    .map(|&(owner, _)| shard_of(owner.0, self.nshards))
-                    .collect();
-                (PreparedPlan::Independent(routes), shards)
-            }
-            PlacementMode::Layered => {
-                let plan = plan_layered(
-                    &self.config,
-                    &self.groups,
-                    &self.anchors,
-                    &self.ring,
-                    origin,
-                    &hashed,
-                    &identifiers,
-                );
-                // The commit touches every walked peer and every store
-                // target's owner.
-                let shards: Vec<usize> = plan
-                    .visited
-                    .iter()
-                    .map(|&id| shard_of(id.0, self.nshards))
-                    .chain(
-                        plan.store_targets
-                            .iter()
-                            .map(|&(_, owner)| shard_of(owner.0, self.nshards)),
-                    )
-                    .collect();
-                (PreparedPlan::Layered(plan), shards)
-            }
-        };
+        let plan = QueryPlan::build(
+            &self.config,
+            &self.groups,
+            &self.anchors,
+            &self.ring,
+            origin,
+            hashed,
+            identifiers,
+        );
+        let mut shards: Vec<usize> = plan
+            .touched_peers()
+            .map(|id| shard_of(id.0, self.nshards))
+            .collect();
         shards.sort_unstable();
         shards.dedup();
         Prepared {
             query: q.clone(),
-            hashed,
-            identifiers,
             plan,
             shards,
         }
@@ -570,30 +505,16 @@ impl EngineCore {
             nshards: self.nshards,
             home: (seq % self.nshards as u64) as usize,
         };
-        match prepared.plan {
-            PreparedPlan::Independent(routes) => commit_routed(
-                &self.config,
-                &self.telemetry,
-                &mut view,
-                &mut stats,
-                &prepared.query,
-                prepared.hashed,
-                prepared.identifiers,
-                routes,
-                false,
-            ),
-            PreparedPlan::Layered(plan) => commit_layered(
-                &self.config,
-                &self.telemetry,
-                &mut view,
-                &mut stats,
-                &prepared.query,
-                prepared.hashed,
-                prepared.identifiers,
-                plan,
-                false,
-            ),
-        }
+        let (config, telemetry) = (&self.config, &self.telemetry);
+        commit(
+            config,
+            telemetry,
+            &mut view,
+            &mut stats,
+            &prepared.query,
+            prepared.plan,
+            false,
+        )
     }
 
     /// Merge the shards back into `net`: peers union, per-shard stats and
@@ -1174,7 +1095,7 @@ impl QueryEngine {
 impl RangeSelectNetwork {
     /// The engine's single-threaded inline reference: the same shard
     /// partitioning, per-shard RNG streams, cache segments, and commit
-    /// procedure as [`Self::query_batch_concurrent`], executed one query
+    /// procedure as [`Self::query_batch_concurrent_with`], executed one query
     /// at a time in submission order on the calling thread. This is the
     /// oracle the schedule-invariance suite compares the concurrent
     /// engine against; with `shards == 1` it reproduces [`Self::query`]
@@ -1219,17 +1140,10 @@ impl RangeSelectNetwork {
         self.query_batch_concurrent_with(queries, opts)
     }
 
-    /// Run `queries` through the concurrent engine configured by
-    /// [`SystemConfig`] (`engine_shards` / `engine_workers` /
-    /// `engine_queue`). Outcomes are schedule-invariant: bitwise equal
-    /// across worker counts, equal to [`Self::query_trace_sharded`] at
-    /// the same shard count.
-    pub fn query_batch_concurrent(&mut self, queries: &[RangeSet]) -> Vec<QueryOutcome> {
-        let opts = EngineOptions::from_config(&self.config);
-        self.query_batch_concurrent_with(queries, opts)
-    }
-
-    /// [`Self::query_batch_concurrent`] with explicit engine options.
+    /// Run `queries` through the concurrent engine with `opts` (take the
+    /// configured knobs with [`EngineOptions::from_config`]). Outcomes are
+    /// schedule-invariant: bitwise equal across worker counts, equal to
+    /// [`Self::query_trace_sharded`] at the same shard count.
     pub fn query_batch_concurrent_with(
         &mut self,
         queries: &[RangeSet],
@@ -1263,6 +1177,7 @@ impl RangeSelectNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacementMode;
 
     fn r(lo: u32, hi: u32) -> RangeSet {
         RangeSet::interval(lo, hi)
@@ -1510,7 +1425,7 @@ mod tests {
 
     #[test]
     fn network_usable_after_concurrent_batch() {
-        // `query_batch_concurrent` swaps the network out and back in; a
+        // `query_batch_concurrent_with` swaps the network out and back in; a
         // plain query afterwards must see the cached partitions.
         let mut net = RangeSelectNetwork::new(30, SystemConfig::default().with_seed(71));
         net.query_batch_concurrent_with(

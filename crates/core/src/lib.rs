@@ -55,7 +55,7 @@ pub use durable::DurabilityConfig;
 pub use engine::{Admission, AdmissionStats, EngineError, EngineOptions, QueryEngine, SubmitError};
 pub use exact::ExactMatchNetwork;
 pub use multiattr::{MultiAttrNetwork, MultiRange};
-pub use network::{BatchTimings, NetworkStats, QueryOutcome, RangeSelectNetwork};
+pub use network::{NetworkStats, QueryOutcome, RangeSelectNetwork};
 pub use peer::Peer;
 pub use proto::{ProtoNetwork, ThreadedProtoNetwork};
 pub use recall::{recall_curve, similarity_histogram, RECALL_THRESHOLDS};

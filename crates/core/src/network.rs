@@ -5,6 +5,13 @@
 //! (with full hop accounting) but replies do not traverse a message queue
 //! — see [`crate::proto`] for the message-passing rendition, which an
 //! integration test holds equal to this one.
+//!
+//! A query is two steps. [`QueryPlan::build`] is pure: it routes the
+//! lookups over the immutable ring and lists the peers to read, the
+//! buckets to check at each and the store targets. [`commit`] then
+//! matches, caches on a miss and records stats through the
+//! [`PeerAccess`]/[`StatsSink`] seam, so the sequential path and the
+//! concurrent engine ([`crate::engine`]) run one body of code.
 
 use crate::bucket::Match;
 use crate::config::{Placement, PlacementMode, SystemConfig};
@@ -13,6 +20,7 @@ use ars_chord::{arc_base, layered_position, Id, Ring};
 use ars_common::{DetRng, FxHashMap};
 use ars_lsh::{HashGroups, RangeSet};
 use ars_telemetry::Telemetry;
+use std::ops::Range;
 
 /// The result of one range query.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +39,11 @@ pub struct QueryOutcome {
     /// True if the match equals the (padded) hashed range exactly.
     pub exact: bool,
     /// True if this query's partition was newly cached at the identifier
-    /// owners.
+    /// owners. The message renditions ([`crate::proto`]) report instead
+    /// whether stores were *sent*: the origin cannot see whether an owner
+    /// already held the range. The two differ only when a miss finds the
+    /// range already stored at every owner, e.g. a non-exact containment
+    /// hit under padding.
     pub stored: bool,
     /// Overlay hops of each routed lookup: one entry per *distinct*
     /// identifier under independent placement (duplicate identifiers
@@ -65,34 +77,19 @@ pub struct QueryOutcome {
     pub partition_degraded: bool,
 }
 
-/// Wall-clock seconds each stage of a [`RangeSelectNetwork::query_batch`]
-/// call spent — the instrumentation that makes the commit bottleneck
-/// visible in `BENCH_throughput.json` (ISSUE 6 satellite): hashing and
-/// routing parallelize, the commit stage is the sequential residue the
-/// concurrent engine ([`crate::engine`]) exists to break up.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BatchTimings {
-    /// Phase 1: identifier hashing (parallel) + cache-accounting replay.
-    pub hash_secs: f64,
-    /// Phase 2: origin pre-draw + parallel routing of distinct jobs.
-    pub route_secs: f64,
-    /// Phase 3: sequential commit in trace order.
-    pub commit_secs: f64,
-}
-
 /// Memoized identifier computation, keyed by the (padded) hashed range.
 ///
 /// Group identifiers depend only on the hash groups, which are fixed at
 /// network construction, so entries never *invalidate*. Workload traces
-/// repeat ranges heavily (Zipf-style popularity), making this the dominant
-/// saving of the batched query path; the hit/miss counters quantify it.
+/// repeat ranges heavily (Zipf-style popularity); the hit/miss counters
+/// quantify the saving.
 ///
 /// The cache may be *bounded* ([`SystemConfig::ident_cache_capacity`]),
 /// in which case entries are evicted in FIFO insertion order. FIFO — not
 /// LRU — is deliberate: hits never perturb the eviction order, so the
-/// batched query path can account an entire trace's hits, misses, and
-/// evictions up front and still land on exactly the cache state the
-/// sequential path would (asserted in tests).
+/// concurrent engine can split the cache into per-shard segments
+/// ([`Self::split_segments`]) and fold them back ([`Self::absorb`]) with
+/// the order inside each segment intact.
 #[derive(Debug, Clone, Default)]
 pub struct IdentifierCache {
     pub(crate) map: FxHashMap<RangeSet, Vec<u32>>,
@@ -143,12 +140,16 @@ impl IdentifierCache {
         }
     }
 
-    /// Insert a freshly computed entry, evicting FIFO when over capacity.
-    /// Returns the number of evictions performed (0 or 1).
-    pub(crate) fn insert(&mut self, range: RangeSet, ids: Vec<u32>) -> u64 {
+    /// Append an entry at the FIFO tail unless it is already cached.
+    fn push(&mut self, range: RangeSet, ids: Vec<u32>) {
         if self.map.insert(range.clone(), ids).is_none() {
             self.fifo.push_back(range);
         }
+    }
+
+    /// Evict FIFO-oldest entries until the capacity bound holds. Returns
+    /// the number evicted.
+    fn trim(&mut self) -> u64 {
         let mut evicted = 0;
         while self.capacity > 0 && self.map.len() > self.capacity {
             let oldest = self
@@ -156,10 +157,17 @@ impl IdentifierCache {
                 .pop_front()
                 .expect("fifo tracks every cached range");
             self.map.remove(&oldest);
-            self.evictions += 1;
             evicted += 1;
         }
+        self.evictions += evicted;
         evicted
+    }
+
+    /// Insert a freshly computed entry, evicting FIFO when over capacity.
+    /// Returns the number of evictions performed (0 or 1).
+    pub(crate) fn insert(&mut self, range: RangeSet, ids: Vec<u32>) -> u64 {
+        self.push(range, ids);
+        self.trim()
     }
 
     /// Look up with hit accounting; `None` leaves the miss for the caller
@@ -198,9 +206,7 @@ impl IdentifierCache {
             .collect();
         for range in self.fifo.drain(..) {
             if let Some(ids) = self.map.remove(&range) {
-                let seg = &mut segments[seg_of(&range)];
-                seg.fifo.push_back(range.clone());
-                seg.map.insert(range, ids);
+                segments[seg_of(&range)].push(range, ids);
             }
         }
         segments
@@ -216,31 +222,11 @@ impl IdentifierCache {
         self.evictions += segment.evictions;
         while let Some(range) = segment.fifo.pop_front() {
             if let Some(ids) = segment.map.remove(&range) {
-                if self.map.insert(range.clone(), ids).is_none() {
-                    self.fifo.push_back(range);
-                }
+                self.push(range, ids);
             }
         }
-        while self.capacity > 0 && self.map.len() > self.capacity {
-            let oldest = self
-                .fifo
-                .pop_front()
-                .expect("fifo tracks every cached range");
-            self.map.remove(&oldest);
-            self.evictions += 1;
-        }
+        self.trim();
     }
-}
-
-/// Which identifier kernels the batch hashing phase uses. Both produce
-/// identical values (pinned by tests in `ars_lsh`); the fused kernels are
-/// what `query_batch` runs, the per-function loop is kept so
-/// [`RangeSelectNetwork::query_batch_legacy`] reproduces the pre-sharding
-/// engine for benchmarking.
-#[derive(Debug, Clone, Copy)]
-enum BatchKernels {
-    Fused,
-    PerFunction,
 }
 
 /// Aggregate statistics over a network's lifetime.
@@ -289,9 +275,9 @@ impl NetworkStats {
     }
 }
 
-/// Mutable access to peers by ring position — the seam that lets the
-/// commit procedure ([`commit_routed`]) run against either the network's
-/// global peer map or the concurrent engine's locked shard views.
+/// Mutable access to peers by ring position — the seam that lets
+/// [`commit`] run against either the network's global peer map or the
+/// concurrent engine's locked shard views.
 pub(crate) trait PeerAccess {
     /// The peer at `id`, if present.
     fn peer(&self, id: u32) -> Option<&Peer>;
@@ -308,16 +294,16 @@ impl PeerAccess for FxHashMap<u32, Peer> {
     }
 }
 
-/// Where the commit procedure records its counters — the global
-/// [`NetworkStats`] on the sequential path, per-shard accumulators in the
-/// concurrent engine. Every update is an addition, so any sink placement
-/// that eventually sums preserves the ledgers.
+/// Where [`commit`] records its counters — the global [`NetworkStats`] on
+/// the sequential path, per-shard accumulators in the concurrent engine.
+/// Every update is an addition, so any sink placement that eventually
+/// sums preserves the ledgers.
 pub(crate) trait StatsSink {
     /// One identifier lookup routed in `hops` overlay hops to `owner`.
     fn on_lookup(&mut self, owner: Id, hops: usize);
-    /// One lookup skipped because its identifier repeated within the
-    /// query.
-    fn on_dedup_saved(&mut self);
+    /// `count` lookups skipped because their identifier repeated within
+    /// the query.
+    fn on_dedup_saved(&mut self, count: usize);
     /// `steps` successor-walk messages spent by a layered query.
     fn on_walk(&mut self, steps: usize);
     /// `count` multi-probe candidate buckets checked locally.
@@ -331,8 +317,8 @@ impl StatsSink for NetworkStats {
         self.lookups += 1;
         self.total_hops += hops as u64;
     }
-    fn on_dedup_saved(&mut self) {
-        self.dedup_saved_lookups += 1;
+    fn on_dedup_saved(&mut self, count: usize) {
+        self.dedup_saved_lookups += count as u64;
     }
     fn on_walk(&mut self, steps: usize) {
         self.walk_steps += steps as u64;
@@ -342,15 +328,9 @@ impl StatsSink for NetworkStats {
     }
     fn on_query(&mut self, matched: bool, exact: bool, stored: bool) {
         self.queries += 1;
-        if matched {
-            self.matched += 1;
-        }
-        if exact {
-            self.exact += 1;
-        }
-        if stored {
-            self.stored += 1;
-        }
+        self.matched += matched as u64;
+        self.exact += exact as u64;
+        self.stored += stored as u64;
     }
 }
 
@@ -365,94 +345,235 @@ pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
     }
 }
 
+/// §5.2 padding: the range a query hashes, matches and caches.
+pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
+    if padding > 0.0 {
+        q.pad(padding)
+    } else {
+        q.clone()
+    }
+}
+
+/// A query's distinct identifiers in first-appearance order: a repeated
+/// identifier would route to the same owner and search the same bucket.
+pub(crate) fn distinct_identifiers(identifiers: &[u32]) -> Vec<u32> {
+    let mut distinct = Vec::with_capacity(identifiers.len());
+    for &ident in identifiers {
+        if !distinct.contains(&ident) {
+            distinct.push(ident);
+        }
+    }
+    distinct
+}
+
+/// Keep `m` as the best match if it scores strictly higher, so ties go
+/// to the match found first. Every query path picks its answer this way.
+pub(crate) fn keep_better(best: &mut Option<Match>, m: Match) {
+    if best.as_ref().is_none_or(|b| m.score > b.score) {
+        *best = Some(m);
+    }
+}
+
+/// Generate the anchor-sketch hash group for a config: one group of
+/// `config.layers` min-hashes, from an RNG salted off the system seed.
+/// The salt keeps the anchor draw out of the sequences the groups and
+/// query path consume — constructing a network with layered placement
+/// available must not move a single bit of the default paths.
+pub(crate) fn anchor_groups(config: &SystemConfig) -> HashGroups {
+    const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
+    let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
+    HashGroups::generate(config.family, config.layers, 1, &mut rng)
+}
+
+/// The anchor sketch of a hashed range: the single coarse identifier
+/// (`SystemConfig::layers` min-hashes XOR-folded) that keys the arc all
+/// of the query's buckets live in under layered placement. Similar
+/// ranges share it with probability ≈ `J^layers`.
+fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
+    anchors.identifiers(hashed_range)[0]
+}
+
+/// A fully resolved query: what to route, read and store. Pure data —
+/// built against the immutable ring by [`Self::build`], applied by
+/// [`commit`], so the concurrent engine can plan on any worker and commit
+/// under its shard locks.
+#[derive(Debug, Clone)]
+pub(crate) struct QueryPlan {
+    /// The (padded) range the query hashes, matches and caches.
+    pub(crate) hashed_range: RangeSet,
+    /// The `l` group identifiers of `hashed_range`.
+    pub(crate) identifiers: Vec<u32>,
+    /// Routed lookups as `(owner, hops)`: one per distinct identifier
+    /// under independent placement, the single arc lookup under layered.
+    pub(crate) lookups: Vec<(Id, usize)>,
+    /// Lookups skipped because their identifier repeated in the query.
+    pub(crate) dedup_saved: usize,
+    /// Successor-walk steps (layered placement; one message each).
+    pub(crate) walk_steps: usize,
+    /// Multi-probe buckets checked beyond the base identifiers.
+    pub(crate) probe_checks: usize,
+    /// Bucket identifiers the reads index into: the distinct base
+    /// identifiers first, then ranked multi-probe candidates.
+    pub(crate) buckets: Vec<u32>,
+    /// Peers to read, each with the slice of `buckets` checked there:
+    /// the owner of each distinct identifier with its own bucket
+    /// (independent), or every walked peer with every bucket (layered).
+    pub(crate) reads: Vec<(Id, Range<usize>)>,
+    /// Cache-on-miss targets `(identifier, owner)`, one per distinct
+    /// base identifier.
+    pub(crate) store_targets: Vec<(u32, Id)>,
+}
+
+impl QueryPlan {
+    /// Plan a query from `origin` under `config`'s placement mode. Pure
+    /// (the ring is immutable); the only function that routes a query
+    /// over the static ring.
+    pub(crate) fn build(
+        config: &SystemConfig,
+        groups: &HashGroups,
+        anchors: &HashGroups,
+        ring: &Ring,
+        origin: Id,
+        hashed_range: RangeSet,
+        identifiers: Vec<u32>,
+    ) -> QueryPlan {
+        let mut buckets = distinct_identifiers(&identifiers);
+        let base = buckets.len();
+        let mut plan = QueryPlan {
+            hashed_range,
+            identifiers,
+            lookups: Vec::with_capacity(base),
+            dedup_saved: 0,
+            walk_steps: 0,
+            probe_checks: 0,
+            buckets: Vec::new(),
+            reads: Vec::with_capacity(base),
+            store_targets: Vec::with_capacity(base),
+        };
+        match config.placement_mode {
+            PlacementMode::Independent => {
+                // Route each distinct identifier once.
+                plan.dedup_saved = plan.identifiers.len() - base;
+                for (i, &ident) in buckets.iter().enumerate() {
+                    let (owner, hops) = ring.lookup(origin, place_identifier(config, ident));
+                    plan.lookups.push((owner, hops));
+                    plan.reads.push((owner, i..i + 1));
+                    plan.store_targets.push((ident, owner));
+                }
+            }
+            PlacementMode::Layered => {
+                // One arc lookup, a bounded successor walk, and every
+                // candidate bucket checked at every walked peer.
+                let anchor = layered_anchor(anchors, &plan.hashed_range);
+                let route = ring.lookup(origin, arc_base(anchor));
+                let visited = ring.successors_window(route.0, config.walk_window);
+                plan.walk_steps = visited.len() - 1;
+                if config.probes > 0 {
+                    for c in groups.probe_candidates(&plan.hashed_range, config.probes) {
+                        if !buckets.contains(&c.identifier) {
+                            buckets.push(c.identifier);
+                        }
+                    }
+                }
+                plan.probe_checks = buckets.len() - base;
+                plan.lookups = vec![route];
+                plan.reads = visited.into_iter().map(|p| (p, 0..buckets.len())).collect();
+                plan.store_targets = buckets[..base]
+                    .iter()
+                    .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
+                    .collect();
+            }
+        }
+        plan.buckets = buckets;
+        plan
+    }
+
+    /// Every peer the commit touches: the reads and the store targets.
+    pub(crate) fn touched_peers(&self) -> impl Iterator<Item = Id> + '_ {
+        let reads = self.reads.iter().map(|(peer, _)| *peer);
+        reads.chain(self.store_targets.iter().map(|&(_, owner)| owner))
+    }
+}
+
 /// The commit half of a query — matching, caching, stats, telemetry —
-/// against any [`PeerAccess`]/[`StatsSink`] pair. Extracted from the
-/// sequential path verbatim so the engine's sharded commits replay the
-/// exact same per-owner update order; [`RangeSelectNetwork`]'s own
-/// `finish_query_routed` delegates here, keeping the two paths one body
-/// of code.
+/// against any [`PeerAccess`]/[`StatsSink`] pair. The sequential path and
+/// the engine's sharded commits both run it, so they replay the exact
+/// same per-owner update order.
 ///
 /// `emit_span` gates the per-query `core.query` span: the sequential path
 /// emits it (trace tests pin the event order), the concurrent engine does
 /// not (span begin/end interleaving across workers would make event logs
 /// schedule-dependent; counters and histograms are order-free).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
+pub(crate) fn commit<P: PeerAccess, S: StatsSink>(
     config: &SystemConfig,
     telemetry: &Telemetry,
     peers: &mut P,
     stats: &mut S,
     q: &RangeSet,
-    hashed_range: RangeSet,
-    identifiers: Vec<u32>,
-    routes: Vec<(Id, usize)>,
+    plan: QueryPlan,
     emit_span: bool,
 ) -> QueryOutcome {
-    debug_assert_eq!(routes.len(), identifiers.len());
-    let span = if emit_span {
-        Some(telemetry.span("core.query", &[("l", identifiers.len().into())]))
-    } else {
-        None
-    };
+    let span =
+        emit_span.then(|| telemetry.span("core.query", &[("l", plan.identifiers.len().into())]));
+    for &(owner, hops) in &plan.lookups {
+        stats.on_lookup(owner, hops);
+        telemetry.record("core.lookup.hops", hops as u64);
+    }
+    if plan.dedup_saved > 0 {
+        // Two groups hashed the range to the same bucket: its second
+        // lookup was never routed.
+        stats.on_dedup_saved(plan.dedup_saved);
+        telemetry.counter_add("core.dedup.saved_lookups", plan.dedup_saved as u64);
+    }
+    if plan.walk_steps > 0 {
+        stats.on_walk(plan.walk_steps);
+        telemetry.counter_add("core.walk.steps", plan.walk_steps as u64);
+    }
+    if plan.probe_checks > 0 {
+        stats.on_probes(plan.probe_checks);
+        telemetry.counter_add("core.probe.checks", plan.probe_checks as u64);
+    }
 
-    // Collect each owner's best bucket match. An owner without storage
-    // state (impossible on a static ring, but reachable through
-    // subclass-style reuse under churn) is skipped rather than
-    // panicking; the outcome records whether *any* owner was reachable.
-    let mut hops = Vec::with_capacity(identifiers.len());
-    let mut owners = Vec::with_capacity(identifiers.len());
-    let mut routed_idents: Vec<u32> = Vec::with_capacity(identifiers.len());
+    // Collect the best match over every read. A peer without storage
+    // state (impossible on a static ring, but reachable through reuse
+    // under churn) is skipped rather than panicking; the outcome records
+    // whether *any* peer was reachable.
+    let hashed_range = &plan.hashed_range;
     let mut reached = 0usize;
     let mut best: Option<Match> = None;
-    for (&ident, &(owner, h)) in identifiers.iter().zip(&routes) {
-        owners.push(owner);
-        if routed_idents.contains(&ident) {
-            // Two groups hashed the range to the same bucket: that bucket
-            // was already routed and matched this query, so a second
-            // lookup would be a pure waste — skip it and count the save.
-            stats.on_dedup_saved();
-            telemetry.counter_add("core.dedup.saved_lookups", 1);
-            continue;
-        }
-        routed_idents.push(ident);
-        hops.push(h);
-        stats.on_lookup(owner, h);
-        telemetry.record("core.lookup.hops", h as u64);
-        let Some(peer) = peers.peer(owner.0) else {
+    for (peer_id, slice) in &plan.reads {
+        let Some(peer) = peers.peer(peer_id.0) else {
             continue;
         };
         reached += 1;
+        let buckets = &plan.buckets[slice.clone()];
         let scan_len = if config.use_local_index {
             peer.partition_count()
         } else {
-            peer.bucket(ident).map(|b| b.len()).unwrap_or(0)
+            buckets
+                .iter()
+                .map(|&b| peer.bucket(b).map_or(0, |b| b.len()))
+                .sum()
         };
         telemetry.record("core.bucket.scan_len", scan_len as u64);
-        let candidate = if config.use_local_index {
-            peer.best_across_buckets(&hashed_range, config.matching)
+        if config.use_local_index {
+            if let Some(m) = peer.best_across_buckets(hashed_range, config.matching) {
+                keep_better(&mut best, m);
+            }
         } else {
-            peer.best_in_bucket(ident, &hashed_range, config.matching)
-        };
-        if let Some(m) = candidate {
-            let better = match &best {
-                None => true,
-                Some(b) => m.score > b.score,
-            };
-            if better {
-                best = Some(m);
+            for &b in buckets {
+                if let Some(m) = peer.best_in_bucket(b, hashed_range, config.matching) {
+                    keep_better(&mut best, m);
+                }
             }
         }
     }
+    let exact = best.as_ref().is_some_and(|m| m.range == *hashed_range);
 
-    let exact = best
-        .as_ref()
-        .map(|m| m.range == hashed_range)
-        .unwrap_or(false);
-
-    // Cache on miss: store the (padded) partition at all l owners.
+    // Cache on miss: store the (padded) partition at every target.
     let mut stored = false;
     if config.cache_on_miss && !exact {
-        for (&ident, owner) in identifiers.iter().zip(&owners) {
+        for &(ident, owner) in &plan.store_targets {
             if let Some(peer) = peers.peer_mut(owner.0) {
                 stored |= peer.store(ident, hashed_range.clone());
             }
@@ -461,21 +582,16 @@ pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
 
     // Score the match against the *original* query: similarity for
     // Figs. 6–7, recall for Figs. 8–10.
-    let (similarity, recall, best_match) = match &best {
-        Some(m) => (
-            q.jaccard(&m.range),
-            q.containment_in(&m.range),
-            Some(m.range.clone()),
-        ),
-        None => (0.0, 0.0, None),
+    let best_match = best.map(|m| m.range);
+    let (similarity, recall) = match &best_match {
+        Some(m) => (q.jaccard(m), q.containment_in(m)),
+        None => (0.0, 0.0),
     };
-
-    let mut distinct = owners.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
+    let mut contacted: Vec<u32> = plan.reads.iter().map(|(p, _)| p.0).collect();
+    contacted.sort_unstable();
+    contacted.dedup();
 
     stats.on_query(best_match.is_some(), exact, stored);
-
     telemetry.counter_add("core.queries", 1);
     if best_match.is_some() {
         // ×1000 fixed point: histograms store u64.
@@ -496,7 +612,6 @@ pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
         );
     }
 
-    let attempts = routed_idents.len();
     QueryOutcome {
         query: q.clone(),
         best_match,
@@ -504,254 +619,10 @@ pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
         recall,
         exact,
         stored,
-        hops,
-        identifiers,
-        peers_contacted: distinct.len(),
-        attempts,
-        fell_back_to_source: reached == 0,
-        partition_degraded: false,
-    }
-}
-
-/// Generate the anchor-sketch hash group for a config: one group of
-/// `config.layers` min-hashes, from an RNG salted off the system seed.
-/// The salt keeps the anchor draw out of the sequences the groups and
-/// query path consume — constructing a network with layered placement
-/// available must not move a single bit of the default paths.
-pub(crate) fn anchor_groups(config: &SystemConfig) -> HashGroups {
-    const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
-    let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
-    HashGroups::generate(config.family, config.layers, 1, &mut rng)
-}
-
-/// The anchor sketch of a hashed range: the single coarse identifier
-/// (`SystemConfig::layers` min-hashes XOR-folded) that keys the arc all
-/// of the query's buckets live in under layered placement. Similar
-/// ranges share it with probability ≈ `J^layers`.
-pub(crate) fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
-    anchors.identifiers(hashed_range)[0]
-}
-
-/// A fully-resolved layered query: the one arc lookup, the peers the
-/// bounded successor walk visits, and every candidate bucket to check at
-/// them. Pure data — planning (reads the immutable ring) is separated
-/// from committing (mutates peers/stats) so the batch and engine paths
-/// can plan in parallel and commit in order, exactly like
-/// [`commit_routed`]'s routes.
-#[derive(Debug, Clone)]
-pub(crate) struct LayeredPlan {
-    /// `(first arc owner, hops)` of the single `arc_base` lookup.
-    pub(crate) route: (Id, usize),
-    /// Peers the walk visits: the first owner plus at most
-    /// `walk_window − 1` successors (one overlay message per step).
-    pub(crate) visited: Vec<Id>,
-    /// Candidate bucket identifiers checked at every visited peer: the
-    /// distinct base identifiers first, then ranked multi-probe
-    /// candidates.
-    pub(crate) candidates: Vec<u32>,
-    /// How many of `candidates` are base identifiers (the prefix).
-    pub(crate) base_count: usize,
-    /// Cache-on-miss targets: each distinct base identifier and the true
-    /// owner of its layered position.
-    pub(crate) store_targets: Vec<(u32, Id)>,
-}
-
-/// Plan a layered query end to end: anchor → one arc lookup → walk and
-/// candidate sets. Pure (the ring is immutable).
-pub(crate) fn plan_layered(
-    config: &SystemConfig,
-    groups: &HashGroups,
-    anchors: &HashGroups,
-    ring: &Ring,
-    origin: Id,
-    hashed_range: &RangeSet,
-    identifiers: &[u32],
-) -> LayeredPlan {
-    let anchor = layered_anchor(anchors, hashed_range);
-    let route = ring.lookup(origin, arc_base(anchor));
-    plan_layered_routed(
-        config,
-        groups,
-        ring,
-        route,
-        anchor,
-        hashed_range,
-        identifiers,
-    )
-}
-
-/// The post-routing half of layered planning — the batch path resolves
-/// the arc lookup in its parallel routing phase and feeds it in here.
-pub(crate) fn plan_layered_routed(
-    config: &SystemConfig,
-    groups: &HashGroups,
-    ring: &Ring,
-    route: (Id, usize),
-    anchor: u32,
-    hashed_range: &RangeSet,
-    identifiers: &[u32],
-) -> LayeredPlan {
-    let visited = ring.successors_window(route.0, config.walk_window);
-    let mut candidates: Vec<u32> = Vec::with_capacity(identifiers.len() + config.probes);
-    for &ident in identifiers {
-        if !candidates.contains(&ident) {
-            candidates.push(ident);
-        }
-    }
-    let base_count = candidates.len();
-    if config.probes > 0 {
-        for c in groups.probe_candidates(hashed_range, config.probes) {
-            if !candidates.contains(&c.identifier) {
-                candidates.push(c.identifier);
-            }
-        }
-    }
-    let store_targets = candidates[..base_count]
-        .iter()
-        .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
-        .collect();
-    LayeredPlan {
-        route,
-        visited,
-        candidates,
-        base_count,
-        store_targets,
-    }
-}
-
-/// The commit half of a layered query — the [`commit_routed`] analogue:
-/// one lookup's hops, a successor walk, candidate matching at every
-/// visited peer, cache-on-miss at the layered owners. Same
-/// [`PeerAccess`]/[`StatsSink`] seam, so the sequential, batched, and
-/// concurrent-engine paths share this one body of code.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_layered<P: PeerAccess, S: StatsSink>(
-    config: &SystemConfig,
-    telemetry: &Telemetry,
-    peers: &mut P,
-    stats: &mut S,
-    q: &RangeSet,
-    hashed_range: RangeSet,
-    identifiers: Vec<u32>,
-    plan: LayeredPlan,
-    emit_span: bool,
-) -> QueryOutcome {
-    let span = if emit_span {
-        Some(telemetry.span("core.query", &[("l", identifiers.len().into())]))
-    } else {
-        None
-    };
-
-    let (first_owner, h) = plan.route;
-    stats.on_lookup(first_owner, h);
-    telemetry.record("core.lookup.hops", h as u64);
-    let walk_steps = plan.visited.len().saturating_sub(1);
-    if walk_steps > 0 {
-        stats.on_walk(walk_steps);
-        telemetry.counter_add("core.walk.steps", walk_steps as u64);
-    }
-    let probe_checks = plan.candidates.len() - plan.base_count;
-    if probe_checks > 0 {
-        stats.on_probes(probe_checks);
-        telemetry.counter_add("core.probe.checks", probe_checks as u64);
-    }
-
-    let mut reached = 0usize;
-    let mut best: Option<Match> = None;
-    for &peer_id in &plan.visited {
-        let Some(peer) = peers.peer(peer_id.0) else {
-            continue;
-        };
-        reached += 1;
-        let scan_len = if config.use_local_index {
-            peer.partition_count()
-        } else {
-            plan.candidates
-                .iter()
-                .map(|&c| peer.bucket(c).map(|b| b.len()).unwrap_or(0))
-                .sum()
-        };
-        telemetry.record("core.bucket.scan_len", scan_len as u64);
-        let mut consider = |m: Match| {
-            let better = match &best {
-                None => true,
-                Some(b) => m.score > b.score,
-            };
-            if better {
-                best = Some(m);
-            }
-        };
-        if config.use_local_index {
-            if let Some(m) = peer.best_across_buckets(&hashed_range, config.matching) {
-                consider(m);
-            }
-        } else {
-            for &ident in &plan.candidates {
-                if let Some(m) = peer.best_in_bucket(ident, &hashed_range, config.matching) {
-                    consider(m);
-                }
-            }
-        }
-    }
-
-    let exact = best
-        .as_ref()
-        .map(|m| m.range == hashed_range)
-        .unwrap_or(false);
-
-    // Cache on miss: store the (padded) partition at the layered owners
-    // of the base identifiers, so later similar queries find it inside
-    // the same arc.
-    let mut stored = false;
-    if config.cache_on_miss && !exact {
-        for &(ident, owner) in &plan.store_targets {
-            if let Some(peer) = peers.peer_mut(owner.0) {
-                stored |= peer.store(ident, hashed_range.clone());
-            }
-        }
-    }
-
-    let (similarity, recall, best_match) = match &best {
-        Some(m) => (
-            q.jaccard(&m.range),
-            q.containment_in(&m.range),
-            Some(m.range.clone()),
-        ),
-        None => (0.0, 0.0, None),
-    };
-
-    stats.on_query(best_match.is_some(), exact, stored);
-
-    telemetry.counter_add("core.queries", 1);
-    if best_match.is_some() {
-        telemetry.record("core.query.jaccard", (similarity * 1000.0) as u64);
-        telemetry.record("core.query.recall", (recall * 1000.0) as u64);
-    }
-    if let Some(span) = span {
-        telemetry.span_end(
-            span,
-            &[
-                ("matched", best_match.is_some().into()),
-                ("exact", exact.into()),
-                ("stored", stored.into()),
-                ("similarity", similarity.into()),
-                ("recall", recall.into()),
-                ("fallback", (reached == 0).into()),
-            ],
-        );
-    }
-
-    QueryOutcome {
-        query: q.clone(),
-        best_match,
-        similarity,
-        recall,
-        exact,
-        stored,
-        hops: vec![h],
-        identifiers,
-        peers_contacted: plan.visited.len(),
-        attempts: 1,
+        hops: plan.lookups.iter().map(|&(_, h)| h).collect(),
+        identifiers: plan.identifiers,
+        peers_contacted: contacted.len(),
+        attempts: plan.lookups.len(),
         fell_back_to_source: reached == 0,
         partition_degraded: false,
     }
@@ -806,27 +677,12 @@ impl RangeSelectNetwork {
         rng: DetRng,
     ) -> RangeSelectNetwork {
         let groups = HashGroups::generate(config.family, config.k, config.l, group_rng);
-        let anchors = anchor_groups(&config);
         let peers = ring
             .node_ids()
             .iter()
             .map(|&id| (id.0, Peer::new(id)))
             .collect();
-        let ident_cache = IdentifierCache {
-            capacity: config.ident_cache_capacity,
-            ..IdentifierCache::default()
-        };
-        RangeSelectNetwork {
-            config,
-            ring,
-            peers,
-            groups,
-            anchors,
-            rng,
-            stats: NetworkStats::default(),
-            ident_cache,
-            telemetry: Telemetry::noop(),
-        }
+        Self::from_parts(config, ring, peers, groups, rng)
     }
 
     /// Assemble a network from pre-existing parts — used by
@@ -946,127 +802,45 @@ impl RangeSelectNetwork {
     pub fn query_padded(&mut self, q: &RangeSet, padding: f64) -> QueryOutcome {
         assert!(!q.is_empty(), "cannot query an empty range");
         assert!(padding >= 0.0, "padding must be non-negative");
-        let hashed_range = Self::hashed_range(q, padding);
+        let hashed_range = hashed_range(q, padding);
         let identifiers = self.cached_identifiers(&hashed_range);
-        self.finish_query(q, hashed_range, identifiers)
-    }
-
-    /// §5.2 padding: expand the query before hashing/matching/caching.
-    fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
-        if padding > 0.0 {
-            q.pad(padding)
-        } else {
-            q.clone()
-        }
+        // Pick a random origin peer for routing (hop accounting) — the
+        // one RNG draw a query makes.
+        let origin = {
+            let ids = self.ring.node_ids();
+            ids[self.rng.gen_index(ids.len())]
+        };
+        let plan = QueryPlan::build(
+            &self.config,
+            &self.groups,
+            &self.anchors,
+            &self.ring,
+            origin,
+            hashed_range,
+            identifiers,
+        );
+        let (peers, stats) = (&mut self.peers, &mut self.stats);
+        commit(&self.config, &self.telemetry, peers, stats, q, plan, true)
     }
 
     /// Group identifiers for a hashed range, memoized in the
     /// [`IdentifierCache`].
     fn cached_identifiers(&mut self, hashed_range: &RangeSet) -> Vec<u32> {
-        if let Some(ids) = self.ident_cache.map.get(hashed_range) {
-            self.ident_cache.hits += 1;
+        if let Some(ids) = self.ident_cache.get_hit(hashed_range) {
             self.telemetry.counter_add("core.ident_cache.hits", 1);
-            return ids.clone();
+            return ids;
         }
-        self.ident_cache.misses += 1;
+        self.ident_cache.note_miss();
         self.telemetry.counter_add("core.ident_cache.misses", 1);
         let ids = self.groups.identifiers(hashed_range);
-        self.ident_cache_insert(hashed_range.clone(), ids.clone());
-        ids
-    }
-
-    /// Insert into the identifier cache, exporting eviction/size telemetry.
-    fn ident_cache_insert(&mut self, range: RangeSet, ids: Vec<u32>) {
-        let evicted = self.ident_cache.insert(range, ids);
+        let evicted = self.ident_cache.insert(hashed_range.clone(), ids.clone());
         if evicted > 0 {
             self.telemetry
                 .counter_add("core.ident_cache.evictions", evicted);
         }
         self.telemetry
             .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
-    }
-
-    /// Everything after identifier computation: routing, matching, caching,
-    /// stats. Split out so the batched path can feed precomputed
-    /// identifiers while preserving the exact per-query RNG draw order.
-    fn finish_query(
-        &mut self,
-        q: &RangeSet,
-        hashed_range: RangeSet,
-        identifiers: Vec<u32>,
-    ) -> QueryOutcome {
-        // Pick a random origin peer for routing (hop accounting) — the one
-        // RNG draw a query makes, which the batched path pre-draws in
-        // trace order before routing in parallel.
-        let origin = {
-            let ids = self.ring.node_ids();
-            ids[self.rng.gen_index(ids.len())]
-        };
-        match self.config.placement_mode {
-            PlacementMode::Independent => {
-                // Route each *distinct* identifier once; duplicates reuse
-                // the resolved route (commit skips their lookup too).
-                let mut memo: FxHashMap<u32, (Id, usize)> = FxHashMap::default();
-                let routes: Vec<(Id, usize)> = identifiers
-                    .iter()
-                    .map(|&ident| {
-                        *memo.entry(ident).or_insert_with(|| {
-                            self.ring
-                                .lookup(origin, place_identifier(&self.config, ident))
-                        })
-                    })
-                    .collect();
-                self.finish_query_routed(q, hashed_range, identifiers, routes)
-            }
-            PlacementMode::Layered => {
-                let plan = plan_layered(
-                    &self.config,
-                    &self.groups,
-                    &self.anchors,
-                    &self.ring,
-                    origin,
-                    &hashed_range,
-                    &identifiers,
-                );
-                commit_layered(
-                    &self.config,
-                    &self.telemetry,
-                    &mut self.peers,
-                    &mut self.stats,
-                    q,
-                    hashed_range,
-                    identifiers,
-                    plan,
-                    true,
-                )
-            }
-        }
-    }
-
-    /// The commit half of a query: matching, caching, stats — with routing
-    /// already resolved. Routing over the static [`Ring`] is pure, so the
-    /// batched path resolves it in a parallel read-only phase against the
-    /// ring snapshot and replays commits here sequentially in trace order;
-    /// outcomes are bit-identical to [`Self::finish_query`] (asserted in
-    /// tests).
-    fn finish_query_routed(
-        &mut self,
-        q: &RangeSet,
-        hashed_range: RangeSet,
-        identifiers: Vec<u32>,
-        routes: Vec<(Id, usize)>,
-    ) -> QueryOutcome {
-        commit_routed(
-            &self.config,
-            &self.telemetry,
-            &mut self.peers,
-            &mut self.stats,
-            q,
-            hashed_range,
-            identifiers,
-            routes,
-            true,
-        )
+        ids
     }
 
     /// Run a whole trace, returning per-query outcomes.
@@ -1080,317 +854,6 @@ impl RangeSelectNetwork {
     /// Identifier-cache statistics (hits, misses, distinct entries).
     pub fn identifier_cache(&self) -> &IdentifierCache {
         &self.ident_cache
-    }
-
-    /// Execute a slice of queries through the sharded batch engine.
-    ///
-    /// Three phases:
-    ///
-    /// 1. **Parallel hashing** — identifier computation (`k·l` min-hashes
-    ///    per distinct range, via the fused group kernels) is memoized per
-    ///    distinct hashed range and fanned across worker threads; cache
-    ///    accounting (hits, misses, FIFO evictions) is then replayed
-    ///    sequentially in trace order so it lands on the exact state the
-    ///    one-at-a-time path produces.
-    /// 2. **Parallel routing** — origin peers are pre-drawn sequentially
-    ///    (one RNG call per query, trace order), then every distinct
-    ///    `(origin, identifier)` pair is routed once against the immutable
-    ///    ring snapshot across worker threads. Routing over a static
-    ///    [`Ring`] is pure, so parallelism cannot perturb results.
-    /// 3. **Sequential commit** — matching, caching, stats, and telemetry
-    ///    replay in trace order via the routed commit path.
-    ///
-    /// Outcomes, statistics, and cache contents are bit-identical to
-    /// calling [`Self::query`] in a loop (asserted in tests).
-    pub fn query_batch(&mut self, queries: &[RangeSet]) -> Vec<QueryOutcome> {
-        self.query_batch_timed(queries).0
-    }
-
-    /// [`Self::query_batch`] with per-stage wall-clock timings — the
-    /// throughput bench uses this to report where a batch's time goes
-    /// (hash / route / commit) instead of a single opaque number.
-    pub fn query_batch_timed(&mut self, queries: &[RangeSet]) -> (Vec<QueryOutcome>, BatchTimings) {
-        let t0 = std::time::Instant::now();
-        let (hashed, ids_per_query) = self.batch_resolve_identifiers(queries);
-        let t1 = std::time::Instant::now();
-
-        // Phase 2a: pre-draw origins — the only RNG use on the query path,
-        // consumed in trace order exactly as the sequential path would.
-        let node_ids = self.ring.node_ids();
-        let origins: Vec<Id> = queries
-            .iter()
-            .map(|_| node_ids[self.rng.gen_index(node_ids.len())])
-            .collect();
-
-        // Phase 2b: resolve every distinct routing job once, in parallel,
-        // against the immutable ring — per (origin, identifier) under
-        // independent placement, per (origin, arc) under layered placement
-        // (co-location collapses a whole query, and often several queries,
-        // into one job).
-        let t2;
-        let outcomes = match self.config.placement_mode {
-            PlacementMode::Independent => {
-                let mut job_of: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-                let mut jobs: Vec<(Id, Id)> = Vec::new();
-                for (origin, ids) in origins.iter().zip(&ids_per_query) {
-                    for &ident in ids {
-                        job_of.entry((origin.0, ident)).or_insert_with(|| {
-                            jobs.push((*origin, self.place(ident)));
-                            jobs.len() - 1
-                        });
-                    }
-                }
-                let routed = self.route_jobs_parallel(&jobs);
-                t2 = std::time::Instant::now();
-
-                // Phase 3: sequential commit in trace order.
-                queries
-                    .iter()
-                    .zip(hashed)
-                    .zip(origins)
-                    .zip(ids_per_query)
-                    .map(|(((q, h), origin), ids)| {
-                        let routes: Vec<(Id, usize)> = ids
-                            .iter()
-                            .map(|&ident| routed[job_of[&(origin.0, ident)]])
-                            .collect();
-                        self.finish_query_routed(q, h, ids, routes)
-                    })
-                    .collect()
-            }
-            PlacementMode::Layered => {
-                // Anchors are pure functions of the hashed range — memoize
-                // per distinct range, then route one arc lookup per
-                // distinct (origin, arc) pair.
-                let anchor_vals: Vec<u32> = {
-                    let mut memo: FxHashMap<&RangeSet, u32> = FxHashMap::default();
-                    hashed
-                        .iter()
-                        .map(|h| {
-                            *memo
-                                .entry(h)
-                                .or_insert_with(|| layered_anchor(&self.anchors, h))
-                        })
-                        .collect()
-                };
-                let mut job_of: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-                let mut jobs: Vec<(Id, Id)> = Vec::new();
-                for (origin, &anchor) in origins.iter().zip(&anchor_vals) {
-                    let base = arc_base(anchor);
-                    job_of.entry((origin.0, base.0)).or_insert_with(|| {
-                        jobs.push((*origin, base));
-                        jobs.len() - 1
-                    });
-                }
-                let routed = self.route_jobs_parallel(&jobs);
-                t2 = std::time::Instant::now();
-
-                // Phase 3: sequential commit in trace order.
-                let mut outs = Vec::with_capacity(queries.len());
-                for (i, (q, (h, ids))) in queries
-                    .iter()
-                    .zip(hashed.into_iter().zip(ids_per_query))
-                    .enumerate()
-                {
-                    let origin = origins[i];
-                    let anchor = anchor_vals[i];
-                    let route = routed[job_of[&(origin.0, arc_base(anchor).0)]];
-                    let plan = plan_layered_routed(
-                        &self.config,
-                        &self.groups,
-                        &self.ring,
-                        route,
-                        anchor,
-                        &h,
-                        &ids,
-                    );
-                    outs.push(commit_layered(
-                        &self.config,
-                        &self.telemetry,
-                        &mut self.peers,
-                        &mut self.stats,
-                        q,
-                        h,
-                        ids,
-                        plan,
-                        true,
-                    ));
-                }
-                outs
-            }
-        };
-        let timings = BatchTimings {
-            hash_secs: (t1 - t0).as_secs_f64(),
-            route_secs: (t2 - t1).as_secs_f64(),
-            commit_secs: t2.elapsed().as_secs_f64(),
-        };
-        (outcomes, timings)
-    }
-
-    /// The pre-sharding batch engine: identifiers through the
-    /// per-function compiled loop (no fused group kernels), routing and
-    /// commit both sequential — the shape of `query_batch` before the
-    /// sharded engine landed. Kept as the baseline the throughput bench
-    /// compares against; results are bit-identical to [`Self::query`].
-    pub fn query_batch_legacy(&mut self, queries: &[RangeSet]) -> Vec<QueryOutcome> {
-        let (hashed, ids_per_query) =
-            self.batch_resolve_identifiers_with(queries, BatchKernels::PerFunction);
-        queries
-            .iter()
-            .zip(hashed)
-            .zip(ids_per_query)
-            .map(|((q, h), ids)| self.finish_query(q, h, ids))
-            .collect()
-    }
-
-    /// Phase 1 of the batch engine: hash every distinct uncached range in
-    /// parallel, then replay cache accounting (hits, misses, insertions,
-    /// FIFO evictions) sequentially in trace order. Returns the hashed
-    /// ranges and each query's identifiers.
-    ///
-    /// Values are pure functions of the range, so a range the sequential
-    /// path would compute twice (missed, cached, evicted, missed again
-    /// under a capacity bound) is computed once here and reused from a
-    /// batch-local value store — the *accounting* still registers both
-    /// misses.
-    fn batch_resolve_identifiers(
-        &mut self,
-        queries: &[RangeSet],
-    ) -> (Vec<RangeSet>, Vec<Vec<u32>>) {
-        self.batch_resolve_identifiers_with(queries, BatchKernels::Fused)
-    }
-
-    fn batch_resolve_identifiers_with(
-        &mut self,
-        queries: &[RangeSet],
-        kernels: BatchKernels,
-    ) -> (Vec<RangeSet>, Vec<Vec<u32>>) {
-        let padding = self.config.padding;
-        for q in queries {
-            assert!(!q.is_empty(), "cannot query an empty range");
-        }
-        let hashed: Vec<RangeSet> = queries
-            .iter()
-            .map(|q| Self::hashed_range(q, padding))
-            .collect();
-
-        // Batch-local value store: every distinct hashed range, valued
-        // from the live cache when present, computed otherwise.
-        let mut values: FxHashMap<&RangeSet, Vec<u32>> = FxHashMap::default();
-        let mut todo: Vec<&RangeSet> = Vec::new();
-        for h in &hashed {
-            if values.contains_key(h) {
-                continue;
-            }
-            if let Some(ids) = self.ident_cache.map.get(h) {
-                values.insert(h, ids.clone());
-            } else {
-                values.insert(h, Vec::new()); // placeholder, filled below
-                todo.push(h);
-            }
-        }
-
-        // Fan the distinct uncached ranges across worker threads. Hashing
-        // is pure (`&HashGroups` is shared read-only), so parallelism
-        // cannot perturb determinism.
-        if !todo.is_empty() {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(todo.len());
-            let groups = &self.groups;
-            let next = parking_lot::Mutex::new(0usize);
-            let (tx, rx) = crossbeam::channel::unbounded();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let todo = &todo;
-                    s.spawn(move || loop {
-                        let i = {
-                            let mut n = next.lock();
-                            let i = *n;
-                            *n += 1;
-                            i
-                        };
-                        let Some(range) = todo.get(i) else { break };
-                        let ids = match kernels {
-                            BatchKernels::Fused => groups.identifiers(range),
-                            BatchKernels::PerFunction => groups.identifiers_per_function(range),
-                        };
-                        let _ = tx.send((i, ids));
-                    });
-                }
-            });
-            drop(tx);
-            let mut results: Vec<Option<Vec<u32>>> = vec![None; todo.len()];
-            while let Ok((i, ids)) = rx.recv() {
-                results[i] = Some(ids);
-            }
-            for (range, ids) in todo.into_iter().zip(results) {
-                let ids = ids.expect("worker delivered every claimed index");
-                values.insert(range, ids);
-            }
-        }
-
-        // Replay accounting in trace order against the live cache — the
-        // same hit/miss/insert/evict decisions the sequential path makes,
-        // with identifier values served from the batch-local store.
-        let mut ids_per_query: Vec<Vec<u32>> = Vec::with_capacity(hashed.len());
-        for h in &hashed {
-            if self.ident_cache.map.contains_key(h) {
-                self.ident_cache.hits += 1;
-                self.telemetry.counter_add("core.ident_cache.hits", 1);
-            } else {
-                self.ident_cache.misses += 1;
-                self.telemetry.counter_add("core.ident_cache.misses", 1);
-                self.ident_cache_insert(h.clone(), values[h].clone());
-            }
-            ids_per_query.push(values[h].clone());
-        }
-        (hashed, ids_per_query)
-    }
-
-    /// Resolve a slice of `(origin, placed key)` routing jobs in parallel
-    /// against the immutable ring. Pure; result order matches job order.
-    fn route_jobs_parallel(&self, jobs: &[(Id, Id)]) -> Vec<(Id, usize)> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(jobs.len());
-        let ring = &self.ring;
-        let next = parking_lot::Mutex::new(0usize);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let i = {
-                        let mut n = next.lock();
-                        let i = *n;
-                        *n += 1;
-                        i
-                    };
-                    let Some(&(origin, key)) = jobs.get(i) else {
-                        break;
-                    };
-                    let _ = tx.send((i, ring.lookup(origin, key)));
-                });
-            }
-        });
-        drop(tx);
-        let mut routed: Vec<(Id, usize)> = vec![(Id(0), 0); jobs.len()];
-        let mut delivered = 0usize;
-        while let Ok((i, route)) = rx.recv() {
-            routed[i] = route;
-            delivered += 1;
-        }
-        assert_eq!(delivered, jobs.len(), "worker delivered every claimed job");
-        routed
     }
 
     /// Store a partition range directly (bypassing the query path) — used
@@ -1638,87 +1101,30 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_identical_to_sequential() {
-        let config = SystemConfig::default().with_seed(42).with_padding(0.1);
-        let mut seq = RangeSelectNetwork::new(40, config.clone());
-        let mut bat = RangeSelectNetwork::new(40, config);
-        let trace = batch_trace();
-
-        let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-        let out_bat = bat.query_batch(&trace);
-
-        assert_eq!(out_seq, out_bat);
-        assert_eq!(seq.stats(), bat.stats());
-        assert_eq!(seq.total_partitions(), bat.total_partitions());
-        // Cache accounting matches the sequential path exactly.
-        assert_eq!(seq.identifier_cache().hits(), bat.identifier_cache().hits());
-        assert_eq!(
-            seq.identifier_cache().misses(),
-            bat.identifier_cache().misses()
-        );
-        assert_eq!(seq.identifier_cache().len(), bat.identifier_cache().len());
-        assert!(bat.identifier_cache().hits() > 0, "trace has repeats");
-    }
-
-    #[test]
-    fn query_batch_then_queries_stay_consistent() {
-        // Interleaving batch and single-query calls shares the same cache
-        // and RNG stream as an all-sequential run.
-        let config = SystemConfig::default().with_seed(7);
-        let mut seq = RangeSelectNetwork::new(25, config.clone());
-        let mut mixed = RangeSelectNetwork::new(25, config);
-        let trace = batch_trace();
-        let (head, tail) = trace.split_at(trace.len() / 2);
-
-        let mut out_seq: Vec<QueryOutcome> = Vec::new();
-        for q in &trace {
-            out_seq.push(seq.query(q));
-        }
-        let mut out_mixed = mixed.query_batch(head);
-        for q in tail {
-            out_mixed.push(mixed.query(q));
-        }
-        assert_eq!(out_seq, out_mixed);
-        assert_eq!(seq.stats(), mixed.stats());
-    }
-
-    #[test]
     fn telemetry_surfaces_cache_hit_rate_through_registry() {
         let mut n = net(30);
         let tel = ars_telemetry::Telemetry::recording();
         n.set_telemetry(tel.clone());
         let trace = batch_trace();
-        n.query_batch(&trace);
-        n.query_batch(&trace); // identical ranges: second pass is all hits
+        n.run_trace(&trace);
+        n.run_trace(&trace); // identical ranges: second pass is all hits
         let snap = tel.snapshot();
         let hits = snap.counter("core.ident_cache.hits");
         let misses = snap.counter("core.ident_cache.misses");
-        assert!(hits > 0, "repeated batches must report a >0 hit rate");
-        assert!(hits > misses, "second identical batch hits on every range");
+        assert!(hits > 0, "repeated traces must report a >0 hit rate");
+        assert!(hits > misses, "second identical trace hits on every range");
         // The registry mirrors the cache's own counters exactly, and every
         // query does exactly one cache lookup.
         assert_eq!(hits, n.identifier_cache().hits());
         assert_eq!(misses, n.identifier_cache().misses());
         assert_eq!(hits + misses, snap.counter("core.queries"));
-        // Per-query spans were recorded for both batches.
+        // Per-query spans were recorded for both traces.
         let spans = tel
             .events()
             .iter()
             .filter(|e| e.kind == ars_telemetry::EventKind::SpanStart && e.name == "core.query")
             .count();
         assert_eq!(spans, 2 * trace.len());
-    }
-
-    #[test]
-    fn query_batch_legacy_identical_to_sequential() {
-        let config = SystemConfig::default().with_seed(13);
-        let mut seq = RangeSelectNetwork::new(30, config.clone());
-        let mut bat = RangeSelectNetwork::new(30, config);
-        let trace = batch_trace();
-        let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-        let out_bat = bat.query_batch_legacy(&trace);
-        assert_eq!(out_seq, out_bat);
-        assert_eq!(seq.stats(), bat.stats());
     }
 
     #[test]
@@ -1743,41 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_identical_to_sequential_with_bounded_cache() {
-        // The batched engine must replay FIFO eviction exactly: same
-        // outcomes, same hit/miss/eviction counts, same final contents —
-        // including ranges that miss, get cached, get evicted mid-batch,
-        // and miss again.
-        for capacity in [1usize, 2, 3, 7] {
-            let config = SystemConfig::default()
-                .with_seed(23)
-                .with_padding(0.1)
-                .with_ident_cache_capacity(capacity);
-            let mut seq = RangeSelectNetwork::new(30, config.clone());
-            let mut bat = RangeSelectNetwork::new(30, config);
-            let trace = batch_trace();
-            let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-            let out_bat = bat.query_batch(&trace);
-            assert_eq!(out_seq, out_bat, "outcomes diverged at capacity {capacity}");
-            assert_eq!(seq.stats(), bat.stats());
-            let (sc, bc) = (seq.identifier_cache(), bat.identifier_cache());
-            assert_eq!(sc.hits(), bc.hits(), "capacity {capacity}");
-            assert_eq!(sc.misses(), bc.misses(), "capacity {capacity}");
-            assert_eq!(sc.evictions(), bc.evictions(), "capacity {capacity}");
-            assert_eq!(sc.len(), bc.len(), "capacity {capacity}");
-            assert!(bc.len() <= capacity);
-            assert!(
-                bc.evictions() > 0,
-                "trace must overflow capacity {capacity}"
-            );
-            // Final cached contents are identical, key by key.
-            for (k, v) in &sc.map {
-                assert_eq!(bc.map.get(k), Some(v), "contents diverged at {k}");
-            }
-        }
-    }
-
-    #[test]
     fn bounded_cache_exports_size_gauge_and_eviction_counter() {
         let config = SystemConfig::default()
             .with_seed(29)
@@ -1785,7 +1156,7 @@ mod tests {
         let mut n = RangeSelectNetwork::new(20, config);
         let tel = ars_telemetry::Telemetry::recording();
         n.set_telemetry(tel.clone());
-        n.query_batch(&[r(0, 10), r(20, 30), r(40, 50), r(0, 10)]);
+        n.run_trace(&[r(0, 10), r(20, 30), r(40, 50), r(0, 10)]);
         let snap = tel.snapshot();
         assert_eq!(snap.gauge("core.ident_cache.size"), Some(2));
         assert_eq!(
@@ -1793,20 +1164,6 @@ mod tests {
             n.identifier_cache().evictions()
         );
         assert!(n.identifier_cache().evictions() > 0);
-    }
-
-    #[test]
-    fn query_batch_empty_slice_is_noop() {
-        let mut n = net(10);
-        let outs = n.query_batch(&[]);
-        assert!(outs.is_empty());
-        assert_eq!(n.stats().queries, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty range")]
-    fn query_batch_rejects_empty_range() {
-        net(5).query_batch(&[RangeSet::empty()]);
     }
 
     fn layered_config(seed: u64) -> SystemConfig {
@@ -1870,53 +1227,39 @@ mod tests {
     }
 
     #[test]
-    fn layered_batch_identical_to_sequential() {
-        for capacity in [0usize, 3] {
-            let config = layered_config(42)
-                .with_padding(0.1)
-                .with_ident_cache_capacity(capacity);
-            let mut seq = RangeSelectNetwork::new(40, config.clone());
-            let mut bat = RangeSelectNetwork::new(40, config);
-            let trace = batch_trace();
-            let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-            let out_bat = bat.query_batch(&trace);
-            assert_eq!(out_seq, out_bat, "capacity {capacity}");
-            assert_eq!(seq.stats(), bat.stats());
-            assert_eq!(seq.total_partitions(), bat.total_partitions());
-            assert_eq!(seq.identifier_cache().hits(), bat.identifier_cache().hits());
-            assert_eq!(
-                seq.identifier_cache().misses(),
-                bat.identifier_cache().misses()
-            );
-        }
-    }
-
-    #[test]
-    fn commit_routed_dedups_repeated_identifiers() {
-        // Two groups hashing to the same bucket: one lookup, one saved.
+    fn plan_routes_each_distinct_identifier_once() {
+        // Two groups hashing to the same bucket: one lookup, one saved,
+        // one store target per distinct identifier.
         let config = SystemConfig::default();
-        let tel = Telemetry::noop();
-        let mut peers: FxHashMap<u32, Peer> =
-            [(100u32, Peer::new(Id(100))), (200u32, Peer::new(Id(200)))]
-                .into_iter()
-                .collect();
-        let mut stats = NetworkStats::default();
+        let groups = HashGroups::generate(config.family, 1, 1, &mut DetRng::new(1));
+        let ring = Ring::new(vec![Id(100), Id(200)]);
         let q = r(0, 10);
-        let out = commit_routed(
+        let plan = QueryPlan::build(
             &config,
-            &tel,
-            &mut peers,
-            &mut stats,
-            &q,
+            &groups,
+            &anchor_groups(&config),
+            &ring,
+            Id(100),
             q.clone(),
             vec![7, 7, 9],
-            vec![(Id(100), 2), (Id(100), 2), (Id(200), 3)],
-            false,
         );
-        assert_eq!(out.hops, vec![2, 3], "duplicate identifier not re-routed");
+        assert_eq!(plan.buckets, vec![7, 9]);
+        assert_eq!(plan.lookups.len(), 2, "duplicate identifier not re-routed");
+        assert_eq!(plan.dedup_saved, 1);
+        assert_eq!(plan.reads.len(), 2);
+        assert_eq!(plan.store_targets.len(), 2);
+        let (tel, mut peers) = (Telemetry::noop(), FxHashMap::default());
+        for id in ring.node_ids() {
+            peers.insert(id.0, Peer::new(*id));
+        }
+        let mut stats = NetworkStats::default();
+        let out = commit(&config, &tel, &mut peers, &mut stats, &q, plan, false);
         assert_eq!(out.attempts, 2);
+        assert_eq!(out.hops.len(), 2);
+        assert_eq!(out.identifiers, vec![7, 7, 9]);
         assert_eq!(stats.lookups, 2);
-        assert_eq!(stats.total_hops, 5);
         assert_eq!(stats.dedup_saved_lookups, 1);
+        assert!(out.stored);
+        assert_eq!(peers.values().map(Peer::partition_count).sum::<usize>(), 2);
     }
 }

@@ -13,7 +13,9 @@
 
 use crate::bucket::Match;
 use crate::config::{MatchMeasure, SystemConfig};
-use crate::network::{place_identifier, QueryOutcome};
+use crate::network::{
+    distinct_identifiers, hashed_range, keep_better, place_identifier, QueryOutcome,
+};
 use crate::peer::Peer;
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
@@ -368,9 +370,43 @@ impl Node<ProtoMsg> for PeerNode {
     }
 }
 
-/// Driver running the full query procedure over the message simulator.
-pub struct ProtoNetwork {
-    net: SimNet<ProtoMsg, ConstantLatency>,
+/// The two operations a query needs from a message transport: hand a
+/// message to a peer, and deliver until nothing is in flight. The event
+/// simulator and the OS-thread runtime differ only here.
+pub trait Transport {
+    /// Deliver `msg` to peer `to` as if sent by peer `from`.
+    fn inject(&mut self, from: usize, to: usize, msg: ProtoMsg);
+    /// Run the protocol until no message is in flight.
+    fn settle(&mut self);
+}
+
+impl Transport for SimNet<ProtoMsg, ConstantLatency> {
+    fn inject(&mut self, from: usize, to: usize, msg: ProtoMsg) {
+        SimNet::inject(self, from, to, msg);
+    }
+    fn settle(&mut self) {
+        self.run(u64::MAX);
+    }
+}
+
+impl Transport for ThreadedNet<ProtoMsg> {
+    fn inject(&mut self, from: usize, to: usize, msg: ProtoMsg) {
+        ThreadedNet::inject(self, from, to, msg);
+    }
+    /// # Panics
+    /// Panics if the network fails to quiesce within 30 seconds (a wedged
+    /// peer thread).
+    fn settle(&mut self) {
+        let quiet = self.await_quiescence(std::time::Duration::from_secs(30));
+        assert!(quiet, "peer threads failed to quiesce");
+    }
+}
+
+/// Driver running the full query procedure as messages over a
+/// [`Transport`]: [`ProtoNetwork`] over the event simulator,
+/// [`ThreadedProtoNetwork`] over OS threads.
+pub struct ProtoDriver<T> {
+    net: T,
     info: Arc<RingInfo>,
     groups: HashGroups,
     config: SystemConfig,
@@ -382,12 +418,26 @@ pub struct ProtoNetwork {
     lossy: bool,
 }
 
-impl ProtoNetwork {
-    /// Build a message-passing network mirroring
-    /// [`crate::RangeSelectNetwork::new`] — identical seed handling, so the
-    /// ring, the hash groups and the per-query origin choice line up
-    /// exactly with the direct-call rendition.
-    pub fn new(n_peers: usize, config: SystemConfig) -> ProtoNetwork {
+/// The protocol over the deterministic event simulator.
+pub type ProtoNetwork = ProtoDriver<SimNet<ProtoMsg, ConstantLatency>>;
+
+/// The protocol over OS threads: every peer is a thread exchanging
+/// [`ProtoMsg`]s through crossbeam channels ([`ThreadedNet`]). Query
+/// results are identical to [`ProtoNetwork`] and
+/// [`crate::RangeSelectNetwork`] — concurrency changes delivery order, not
+/// outcomes, because replies are keyed by request id.
+pub type ThreadedProtoNetwork = ProtoDriver<ThreadedNet<ProtoMsg>>;
+
+impl<T: Transport> ProtoDriver<T> {
+    /// Build the peers with [`crate::RangeSelectNetwork::new`]'s seed
+    /// handling, so the ring, the hash groups and the per-query origin
+    /// choice line up exactly with the direct-call rendition, and hand
+    /// them to `transport`.
+    fn build(
+        n_peers: usize,
+        config: SystemConfig,
+        transport: impl FnOnce(Vec<PeerNode>) -> T,
+    ) -> Self {
         assert!(
             config.placement_mode == crate::config::PlacementMode::Independent,
             "the message-passing rendition models independent placement only"
@@ -405,27 +455,21 @@ impl ProtoNetwork {
             .collect();
         let info = Arc::new(RingInfo { ring, index_of });
         let sink: ReplySink = Arc::new(Mutex::new(Vec::new()));
-        let nodes: Vec<Box<dyn Node<ProtoMsg>>> = info
+        let nodes = info
             .ring
             .node_ids()
             .iter()
-            .map(|&id| {
-                Box::new(PeerNode {
-                    id,
-                    info: info.clone(),
-                    storage: Peer::new(id),
-                    matching: config.matching,
-                    use_local_index: config.use_local_index,
-                    sink: sink.clone(),
-                }) as Box<dyn Node<ProtoMsg>>
+            .map(|&id| PeerNode {
+                id,
+                info: info.clone(),
+                storage: Peer::new(id),
+                matching: config.matching,
+                use_local_index: config.use_local_index,
+                sink: sink.clone(),
             })
             .collect();
-        let mut net = SimNet::new(nodes, ConstantLatency(50));
-        // Meter wire bytes: the framed binary encoding is what a TCP
-        // deployment would move.
-        net.set_meter(|m: &ProtoMsg| ars_simnet::codec::frame(m).len() as u64);
-        ProtoNetwork {
-            net,
+        ProtoDriver {
+            net: transport(nodes),
             info,
             groups,
             config,
@@ -434,6 +478,135 @@ impl ProtoNetwork {
             next_request: 0,
             lossy: false,
         }
+    }
+
+    /// Number of peers.
+    pub fn len(&self) -> usize {
+        self.info.ring.len()
+    }
+
+    /// True if the network has no peers.
+    pub fn is_empty(&self) -> bool {
+        self.info.ring.is_empty()
+    }
+
+    /// Route one `payload` per identifier from `origin`, with consecutive
+    /// request ids, and settle the transport.
+    fn send_all(&mut self, origin: usize, idents: &[u32], payload: impl Fn(u64) -> Payload) {
+        for &ident in idents {
+            let msg = ProtoMsg::Route {
+                key: place_identifier(&self.config, ident).0,
+                ident,
+                hops: 0,
+                payload: payload(self.next_request),
+            };
+            self.next_request += 1;
+            self.net.inject(origin, origin, msg);
+        }
+        self.net.settle();
+    }
+
+    /// Execute one query through the message protocol. Semantically
+    /// identical to [`crate::RangeSelectNetwork::query`].
+    pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
+        assert!(!q.is_empty(), "cannot query an empty range");
+        let hashed_range = hashed_range(q, self.config.padding);
+        let identifiers = self.groups.identifiers(&hashed_range);
+        let origin_idx = self.rng.gen_index(self.info.ring.len());
+        let range = to_wire(&hashed_range);
+        let origin = origin_idx as u32;
+
+        // Fire one FindMatch per *distinct* identifier — the direct
+        // path's within-query dedup, mirrored: a duplicate would route
+        // to the same owner and return the same reply.
+        let base_request = self.next_request;
+        let routed = distinct_identifiers(&identifiers);
+        self.send_all(origin_idx, &routed, |request| Payload::FindMatch {
+            request,
+            origin,
+            range: range.clone(),
+        });
+
+        // Collect this query's replies.
+        let mut replies: Vec<CollectedReply> = {
+            let mut sink = self.sink.lock().expect("sink poisoned");
+            sink.drain(..)
+                .filter(|r| r.request >= base_request)
+                .collect()
+        };
+        replies.sort_by_key(|r| r.request);
+        // A duplicating fault plan can deliver the same MatchReply twice;
+        // request ids make the extra copies harmless.
+        replies.dedup_by_key(|r| r.request);
+        if !self.lossy {
+            assert_eq!(
+                replies.len(),
+                routed.len(),
+                "every FindMatch must be answered on a lossless transport"
+            );
+        }
+
+        // Best across replies; ties resolve to the earliest identifier,
+        // matching the direct-call network's iteration order.
+        let mut best: Option<Match> = None;
+        for m in replies.iter().filter_map(|r| r.best.clone()) {
+            keep_better(&mut best, m);
+        }
+        let best_match = best.map(|m| m.range);
+        let exact = best_match.as_ref() == Some(&hashed_range);
+
+        // Store on miss, at every identifier's owner. The origin cannot
+        // see whether an owner already held the range, so `stored` means
+        // "stores were sent" (see `QueryOutcome::stored`).
+        let stored = self.config.cache_on_miss && !exact;
+        if stored {
+            self.send_all(origin_idx, &identifiers, |request| Payload::Store {
+                request,
+                origin,
+                range: range.clone(),
+            });
+        }
+
+        let (similarity, recall) = match &best_match {
+            Some(m) => (q.jaccard(m), q.containment_in(m)),
+            None => (0.0, 0.0),
+        };
+        QueryOutcome {
+            query: q.clone(),
+            best_match,
+            similarity,
+            recall,
+            exact,
+            stored,
+            hops: replies.iter().map(|r| r.hops as usize).collect(),
+            identifiers,
+            peers_contacted: 0, // not tracked in the message rendition
+            attempts: routed.len(),
+            // With every reply lost (possible only under faults), the
+            // origin falls back to fetching from the source relations.
+            fell_back_to_source: replies.is_empty(),
+            partition_degraded: false,
+        }
+    }
+}
+
+impl ProtoNetwork {
+    /// Build a message-passing network mirroring
+    /// [`crate::RangeSelectNetwork::new`] — identical seed handling, so the
+    /// ring, the hash groups and the per-query origin choice line up
+    /// exactly with the direct-call rendition.
+    pub fn new(n_peers: usize, config: SystemConfig) -> ProtoNetwork {
+        ProtoDriver::build(n_peers, config, |nodes| {
+            let nodes = nodes
+                .into_iter()
+                .map(|n| Box::new(n) as Box<dyn Node<ProtoMsg>>)
+                .collect();
+            let mut net = SimNet::new(nodes, ConstantLatency(50));
+            // Meter wire bytes: the framed binary encoding is what a TCP
+            // deployment would move.
+            net.set_meter(|m: &ProtoMsg| ars_simnet::codec::frame(m).len() as u64);
+            net
+        })
     }
 
     /// Like [`ProtoNetwork::new`] but with a lossy transport: every message
@@ -481,356 +654,24 @@ impl ProtoNetwork {
         self.net.stats().bytes
     }
 
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.net.len()
-    }
-
-    /// True if the network has no peers.
-    pub fn is_empty(&self) -> bool {
-        self.net.is_empty()
-    }
-
     /// Messages delivered so far (protocol overhead accounting).
     pub fn messages_delivered(&self) -> u64 {
         self.net.stats().delivered
     }
-
-    /// Execute one query through the message protocol. Semantically
-    /// identical to [`crate::RangeSelectNetwork::query`].
-    pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
-        let identifiers = self.groups.identifiers(&hashed_range);
-        let origin_idx = {
-            let ids = self.info.ring.node_ids();
-            self.rng.gen_index(ids.len())
-        };
-
-        // Fire one FindMatch per *distinct* identifier — the direct
-        // path's within-query dedup, mirrored: a duplicate would route
-        // to the same owner and return the same reply.
-        let base_request = self.next_request;
-        let mut routed: Vec<u32> = Vec::with_capacity(identifiers.len());
-        for &ident in &identifiers {
-            if routed.contains(&ident) {
-                continue;
-            }
-            let request = base_request + routed.len() as u64;
-            routed.push(ident);
-            self.net.inject(
-                origin_idx,
-                origin_idx,
-                ProtoMsg::Route {
-                    key: place_identifier(&self.config, ident).0,
-                    ident,
-                    hops: 0,
-                    payload: Payload::FindMatch {
-                        request,
-                        origin: origin_idx as u32,
-                        range: to_wire(&hashed_range),
-                    },
-                },
-            );
-        }
-        self.next_request += routed.len() as u64;
-        self.net.run(u64::MAX);
-
-        // Collect the l replies for this batch.
-        let mut replies: Vec<CollectedReply> = {
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.drain(..)
-                .filter(|r| r.request >= base_request)
-                .collect()
-        };
-        replies.sort_by_key(|r| r.request);
-        // A duplicating fault plan can deliver the same MatchReply twice;
-        // request ids make the extra copies harmless.
-        replies.dedup_by_key(|r| r.request);
-        if !self.lossy {
-            assert_eq!(
-                replies.len(),
-                routed.len(),
-                "every FindMatch must be answered on a lossless transport"
-            );
-        }
-
-        // Best across replies; ties resolve to the earliest identifier,
-        // matching the direct-call network's iteration order.
-        let mut best: Option<Match> = None;
-        for r in &replies {
-            if let Some(m) = &r.best {
-                let better = match &best {
-                    None => true,
-                    Some(b) => m.score > b.score,
-                };
-                if better {
-                    best = Some(m.clone());
-                }
-            }
-        }
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
-
-        // Store on miss.
-        let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            for &ident in &identifiers {
-                let request = self.next_request;
-                self.next_request += 1;
-                self.net.inject(
-                    origin_idx,
-                    origin_idx,
-                    ProtoMsg::Route {
-                        key: place_identifier(&self.config, ident).0,
-                        ident,
-                        hops: 0,
-                        payload: Payload::Store {
-                            request,
-                            origin: origin_idx as u32,
-                            range: to_wire(&hashed_range),
-                        },
-                    },
-                );
-            }
-            self.net.run(u64::MAX);
-            stored = true;
-        }
-
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
-        let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
-        let attempts = routed.len();
-        // With every reply lost (possible only under faults), the origin
-        // would fall back to fetching from the source relations.
-        let fell_back_to_source = replies.is_empty();
-        QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: 0, // not tracked in the message rendition
-            attempts,
-            fell_back_to_source,
-            partition_degraded: false,
-        }
-    }
-}
-
-/// The protocol over OS threads: every peer is a thread exchanging
-/// [`ProtoMsg`]s through crossbeam channels ([`ThreadedNet`]). Query
-/// results are identical to [`ProtoNetwork`] and
-/// [`crate::RangeSelectNetwork`] — concurrency changes delivery order, not
-/// outcomes, because replies are keyed by request id.
-pub struct ThreadedProtoNetwork {
-    net: ThreadedNet<ProtoMsg>,
-    info: Arc<RingInfo>,
-    groups: HashGroups,
-    config: SystemConfig,
-    sink: ReplySink,
-    rng: DetRng,
-    next_request: u64,
 }
 
 impl ThreadedProtoNetwork {
     /// Spawn one thread per peer, mirroring [`ProtoNetwork::new`]'s seed
     /// handling (same ring, groups, and origin choices).
     pub fn spawn(n_peers: usize, config: SystemConfig) -> ThreadedProtoNetwork {
-        let mut rng = DetRng::new(config.seed);
-        let mut group_rng = rng.fork();
-        let ring_seed = rng.next_u64();
-        let ring = Ring::from_seed(n_peers, ring_seed);
-        let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
-        let index_of: FxHashMap<u32, usize> = ring
-            .node_ids()
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.0, i))
-            .collect();
-        let info = Arc::new(RingInfo { ring, index_of });
-        let sink: ReplySink = Arc::new(Mutex::new(Vec::new()));
-        let nodes: Vec<Box<dyn Node<ProtoMsg> + Send>> = info
-            .ring
-            .node_ids()
-            .iter()
-            .map(|&id| {
-                Box::new(PeerNode {
-                    id,
-                    info: info.clone(),
-                    storage: Peer::new(id),
-                    matching: config.matching,
-                    use_local_index: config.use_local_index,
-                    sink: sink.clone(),
-                }) as Box<dyn Node<ProtoMsg> + Send>
-            })
-            .collect();
-        let net = ThreadedNet::spawn(nodes);
-        ThreadedProtoNetwork {
-            net,
-            info,
-            groups,
-            config,
-            sink,
-            rng,
-            next_request: 0,
-        }
-    }
-
-    /// Number of peers (threads).
-    pub fn len(&self) -> usize {
-        self.net.len()
-    }
-
-    /// True if the network has no peers.
-    pub fn is_empty(&self) -> bool {
-        self.net.is_empty()
-    }
-
-    /// Execute one query across the peer threads. Blocks until the
-    /// protocol quiesces.
-    ///
-    /// # Panics
-    /// Panics if the network fails to quiesce within 30 seconds (a wedged
-    /// peer thread).
-    pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
-        let identifiers = self.groups.identifiers(&hashed_range);
-        let origin_idx = self.rng.gen_index(self.info.ring.node_ids().len());
-
-        // One FindMatch per *distinct* identifier, as in [`ProtoNetwork`].
-        let base_request = self.next_request;
-        let mut routed: Vec<u32> = Vec::with_capacity(identifiers.len());
-        for &ident in &identifiers {
-            if routed.contains(&ident) {
-                continue;
-            }
-            let request = base_request + routed.len() as u64;
-            routed.push(ident);
-            self.net.inject(
-                origin_idx,
-                origin_idx,
-                ProtoMsg::Route {
-                    key: place_identifier(&self.config, ident).0,
-                    ident,
-                    hops: 0,
-                    payload: Payload::FindMatch {
-                        request,
-                        origin: origin_idx as u32,
-                        range: to_wire(&hashed_range),
-                    },
-                },
-            );
-        }
-        self.next_request += routed.len() as u64;
-        assert!(
-            self.net
-                .await_quiescence(std::time::Duration::from_secs(30)),
-            "peer threads failed to quiesce"
-        );
-
-        let mut replies: Vec<CollectedReply> = {
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.drain(..)
-                .filter(|r| r.request >= base_request)
-                .collect()
-        };
-        replies.sort_by_key(|r| r.request);
-        assert_eq!(
-            replies.len(),
-            routed.len(),
-            "every FindMatch must be answered"
-        );
-
-        let mut best: Option<Match> = None;
-        for r in &replies {
-            if let Some(m) = &r.best {
-                let better = match &best {
-                    None => true,
-                    Some(b) => m.score > b.score,
-                };
-                if better {
-                    best = Some(m.clone());
-                }
-            }
-        }
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
-
-        let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            for &ident in &identifiers {
-                let request = self.next_request;
-                self.next_request += 1;
-                self.net.inject(
-                    origin_idx,
-                    origin_idx,
-                    ProtoMsg::Route {
-                        key: place_identifier(&self.config, ident).0,
-                        ident,
-                        hops: 0,
-                        payload: Payload::Store {
-                            request,
-                            origin: origin_idx as u32,
-                            range: to_wire(&hashed_range),
-                        },
-                    },
-                );
-            }
-            assert!(
-                self.net
-                    .await_quiescence(std::time::Duration::from_secs(30)),
-                "peer threads failed to quiesce after store"
-            );
-            stored = true;
-        }
-
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
-        let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
-        let attempts = routed.len();
-        QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: 0,
-            attempts,
-            fell_back_to_source: false,
-            partition_degraded: false,
-        }
+        ProtoDriver::build(n_peers, config, |nodes| {
+            ThreadedNet::spawn(
+                nodes
+                    .into_iter()
+                    .map(|n| Box::new(n) as Box<dyn Node<ProtoMsg> + Send>)
+                    .collect(),
+            )
+        })
     }
 
     /// Stop all peer threads.

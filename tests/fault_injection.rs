@@ -244,7 +244,7 @@ proptest! {
 
     /// The churn path: abrupt failures plus per-attempt lookup loss, with
     /// no stabilization before querying. `query_resilient` is infallible
-    /// and must degrade gracefully; `query_batch` on the static network
+    /// and must degrade gracefully; `run_trace` on the static network
     /// stays well-formed on the same trace.
     #[test]
     fn churn_and_static_queries_stay_graceful(
@@ -270,7 +270,7 @@ proptest! {
         prop_assert!(stats.lookups_attempted >= stats.retries);
 
         let mut fixed = RangeSelectNetwork::new(16, config);
-        for out in fixed.query_batch(&trace(8)) {
+        for out in fixed.run_trace(&trace(8)) {
             well_formed(&out, 2);
         }
     }

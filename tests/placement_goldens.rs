@@ -11,8 +11,8 @@
 //! Run with `ARS_PRINT_GOLDENS=1` to print freshly computed digests
 //! (the capture procedure; see EXPERIMENTS.md).
 
-use ars_core::config::MatchMeasure;
-use ars_core::{RangeSelectNetwork, SystemConfig};
+use ars_core::config::{MatchMeasure, PlacementMode};
+use ars_core::{QueryOutcome, RangeSelectNetwork, SystemConfig};
 use ars_lsh::{LshFamilyKind, RangeSet};
 
 /// FNV-1a over a byte slice, folded into `h`.
@@ -219,4 +219,103 @@ fn linear_family_outcomes_match_goldens() {
             "linear-family outcomes diverged from the goldens at seed {seed}"
         );
     }
+}
+
+/// Digest of a finished run: every outcome's full debug rendering, then
+/// the final stats, the cache counters and the stored partition count.
+/// Unlike [`digest`] it pins the outcomes as they are today, so it also
+/// covers layered placement (one arc lookup per query) and the engine.
+fn digest_run(net: &RangeSelectNetwork, outcomes: &[QueryOutcome]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for out in outcomes {
+        fnv(&mut h, format!("{out:?}").as_bytes());
+    }
+    fnv(&mut h, format!("{:?}", net.stats()).as_bytes());
+    let cache = net.identifier_cache();
+    for n in [cache.hits(), cache.misses(), cache.evictions()] {
+        fnv(&mut h, &n.to_le_bytes());
+    }
+    fnv(&mut h, &(net.total_partitions() as u64).to_le_bytes());
+    h
+}
+
+/// Sequential run of the golden trace under `config`, digested.
+fn digest_sequential(config: SystemConfig) -> u64 {
+    let mut net = RangeSelectNetwork::new(48, config);
+    let outcomes: Vec<QueryOutcome> = golden_trace().iter().map(|q| net.query(q)).collect();
+    digest_run(&net, &outcomes)
+}
+
+/// Check (or, under `ARS_PRINT_GOLDENS`, print) one digest per seed.
+fn check_goldens(name: &str, goldens: &[u64; 4], digest_of: impl Fn(u64) -> u64) {
+    for seed in 0u64..4 {
+        let d = digest_of(seed);
+        if std::env::var("ARS_PRINT_GOLDENS").is_ok() {
+            println!("{name} seed {seed}: 0x{d:016x}");
+            continue;
+        }
+        assert_eq!(
+            d, goldens[seed as usize],
+            "{name} outcomes diverged from the goldens at seed {seed}"
+        );
+    }
+}
+
+/// Layered placement with a 16-probe budget at seeds 0–3, captured before
+/// the layered and independent commits were folded into one.
+const GOLDEN_LAYERED: [u64; 4] = [
+    0x67b8_5242_cfc0_8318,
+    0xed06_7096_00a5_f59d,
+    0x0ae9_f56f_5948_0492,
+    0x0bbe_31ba_2999_adb1,
+];
+
+#[test]
+fn layered_probe_outcomes_match_goldens() {
+    check_goldens("layered", &GOLDEN_LAYERED, |seed| {
+        digest_sequential(
+            SystemConfig::default()
+                .with_seed(seed)
+                .with_placement_mode(PlacementMode::Layered)
+                .with_probes(16),
+        )
+    });
+}
+
+/// The §5.3 local index (every bucket at a contacted peer is searched) at
+/// seeds 0–3, captured before the commits were folded into one.
+const GOLDEN_LOCAL_INDEX: [u64; 4] = [
+    0x6965_6db2_b4d5_5e5a,
+    0x5f68_e71d_f5fe_9b07,
+    0xad26_59b0_b78e_2298,
+    0x6701_f8bb_3f26_57e0,
+];
+
+#[test]
+fn local_index_outcomes_match_goldens() {
+    check_goldens("local-index", &GOLDEN_LOCAL_INDEX, |seed| {
+        digest_sequential(
+            SystemConfig::default()
+                .with_seed(seed)
+                .with_local_index(true),
+        )
+    });
+}
+
+/// The 16-shard engine reference (`query_trace_sharded`) at seeds 0–3,
+/// captured before the engine's prepare/commit moved onto the shared plan.
+const GOLDEN_SHARDED: [u64; 4] = [
+    0xc3f6_6bde_b99e_6a8d,
+    0x69fb_3242_e61c_9b35,
+    0x5307_d897_1dd3_e081,
+    0x8e12_bad7_926a_1f35,
+];
+
+#[test]
+fn sharded_engine_reference_matches_goldens() {
+    check_goldens("sharded", &GOLDEN_SHARDED, |seed| {
+        let mut net = RangeSelectNetwork::new(48, SystemConfig::default().with_seed(seed));
+        let outcomes = net.query_trace_sharded(&golden_trace(), 16);
+        digest_run(&net, &outcomes)
+    });
 }

@@ -111,7 +111,7 @@ proptest! {
 
     /// Static network: every query does exactly one identifier-cache
     /// lookup, so `core.queries == hits + misses` for any trace shape,
-    /// sequential or batched.
+    /// sequential or through the concurrent engine.
     #[test]
     fn cache_ledger_balances(
         n_queries in 1usize..30,
@@ -130,11 +130,10 @@ proptest! {
             })
             .collect();
         if batched {
-            net.query_batch(&queries);
+            let opts = EngineOptions::from_config(net.config());
+            net.query_batch_concurrent_with(&queries, opts);
         } else {
-            for q in &queries {
-                net.query(q);
-            }
+            net.run_trace(&queries);
         }
         let snap = tel.snapshot();
         let hits = snap.counter("core.ident_cache.hits");

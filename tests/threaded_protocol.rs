@@ -14,10 +14,26 @@ fn threaded_equals_direct() {
     let trace = uniform_trace(150, 0, 1000, 3);
     for q in trace.queries() {
         let a = direct.query(q);
-        let b = threaded.query(q);
-        assert_eq!(a.best_match, b.best_match, "match diverged for {q}");
-        assert_eq!(a.recall, b.recall, "recall diverged for {q}");
-        assert_eq!(a.exact, b.exact, "exactness diverged for {q}");
+        // Every field but `peers_contacted`, which the message renditions
+        // do not track.
+        let mut b = threaded.query(q);
+        b.peers_contacted = a.peers_contacted;
+        assert_eq!(a, b, "outcomes diverged for {q}");
+    }
+    threaded.shutdown();
+}
+
+#[test]
+fn threaded_equals_simnet_with_local_index() {
+    let config = SystemConfig::default()
+        .with_local_index(true)
+        .with_padding(0.1)
+        .with_seed(2718);
+    let mut sim = ProtoNetwork::new(12, config.clone());
+    let mut threaded = ThreadedProtoNetwork::spawn(12, config);
+    let trace = uniform_trace(150, 0, 1000, 17);
+    for q in trace.queries() {
+        assert_eq!(sim.query(q), threaded.query(q), "outcomes diverged for {q}");
     }
     threaded.shutdown();
 }

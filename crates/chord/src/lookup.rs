@@ -1,8 +1,8 @@
 //! Iterative lookup over a static ring, with full hop accounting.
 //!
-//! The routing rule is Chord's: at node `n`, if the key lies in
-//! `(n, successor(n)]` the successor owns it; otherwise forward to the
-//! closest finger strictly preceding the key. Path length — the number of
+//! The routing rule is Chord's ([`Ring::next_hop`]): at node `n`, if the
+//! key lies in `(n, successor(n)]` the successor owns it; otherwise
+//! forward to the closest finger strictly preceding the key. Path length — the number of
 //! overlay edges traversed, the metric of the paper's Fig. 12 — is the
 //! length of [`LookupTrace::path`] minus one.
 
@@ -41,30 +41,7 @@ pub fn lookup_trace(ring: &Ring, from: Id, key: Id) -> LookupTrace {
     // A correct ring resolves any lookup in ≤ 32 forwardings + 1 final hop;
     // the bound is a defensive guard against cycles.
     let max_steps = 34 + ring.len();
-    loop {
-        // Does the current node already own the key? (Key in
-        // (pred(current), current] — equivalently successor_of(key) == current.)
-        if ring.successor_of(key) == current {
-            return LookupTrace {
-                path,
-                owner: current,
-                key,
-            };
-        }
-        let table = ring.finger_table(current);
-        let succ = table.successor();
-        if key.in_open_closed(current, succ) {
-            // The successor owns it: final hop.
-            path.push(succ);
-            return LookupTrace {
-                path,
-                owner: succ,
-                key,
-            };
-        }
-        // Forward to the closest preceding finger, or fall through to the
-        // successor when no finger is strictly inside (n, key).
-        let next = table.closest_preceding(key).unwrap_or(succ);
+    while let Some(next) = ring.next_hop(current, key) {
         assert_ne!(next, current, "routing stalled at {current} for {key}");
         path.push(next);
         current = next;
@@ -72,6 +49,11 @@ pub fn lookup_trace(ring: &Ring, from: Id, key: Id) -> LookupTrace {
             path.len() <= max_steps,
             "routing cycle detected for key {key}"
         );
+    }
+    LookupTrace {
+        path,
+        owner: current,
+        key,
     }
 }
 
@@ -114,6 +96,7 @@ mod tests {
                 let t = lookup_trace(&ring, from, Id(k));
                 assert_eq!(t.owner, ring.successor_of(Id(k)));
                 assert!(t.hops() <= 32);
+                assert_eq!(ring.lookup(from, Id(k)), (t.owner, t.hops()));
             }
         }
     }

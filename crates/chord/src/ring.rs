@@ -119,12 +119,46 @@ impl Ring {
         &self.fingers[i]
     }
 
+    /// Chord's forwarding rule at `current` for `key`: `None` when
+    /// `current` owns the key (it lies in `(predecessor, current]`);
+    /// otherwise the successor if the key lies in `(current, successor]`,
+    /// else the closest finger strictly preceding the key. Every route
+    /// over a static ring takes its hops from here: [`Self::lookup`],
+    /// [`Self::lookup_trace`] and the message-passing peers.
+    ///
+    /// # Panics
+    /// Panics if `current` is not in the ring.
+    pub fn next_hop(&self, current: Id, key: Id) -> Option<Id> {
+        let i = *self.index.get(&current.0).expect("node not in ring");
+        let pred = self.ids[(i + self.ids.len() - 1) % self.ids.len()];
+        if key.in_open_closed(pred, current) {
+            return None;
+        }
+        let table = &self.fingers[i];
+        let succ = table.successor();
+        if key.in_open_closed(current, succ) {
+            Some(succ)
+        } else {
+            Some(table.closest_preceding(key).unwrap_or(succ))
+        }
+    }
+
     /// Route a lookup from `from` to the owner of `key`, returning
     /// `(owner, hops)`. Hops counts overlay edges traversed (0 when the
-    /// origin already owns the key).
+    /// origin already owns the key). The same route as
+    /// [`Self::lookup_trace`], but it keeps no path, so it allocates
+    /// nothing, and the owner is found by the forwarding rule itself
+    /// rather than by a search of the id list at every hop.
+    ///
+    /// # Panics
+    /// Panics if `from` is not in the ring.
     pub fn lookup(&self, from: Id, key: Id) -> (Id, usize) {
-        let t = self.lookup_trace(from, key);
-        (t.owner, t.hops())
+        let (mut current, mut hops) = (from, 0);
+        while let Some(next) = self.next_hop(current, key) {
+            current = next;
+            hops += 1;
+        }
+        (current, hops)
     }
 
     /// Full routing trace of a lookup.

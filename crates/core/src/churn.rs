@@ -3,7 +3,10 @@
 //! The experiment harness measures steady state over a static ring
 //! ([`crate::RangeSelectNetwork`]); this module composes the same §4 query
 //! procedure with [`ars_chord::DynamicNetwork`] so peers can join, leave,
-//! and crash mid-stream:
+//! and crash mid-stream. Its one query path,
+//! [`ChurnNetwork::query_resilient`], routes, retries and reads on the live
+//! ring, then finishes through the tail every query path shares
+//! ([`crate::network`]'s `finish`: exact check, cache-on-miss, scoring):
 //!
 //! * a graceful **leave** hands the peer's buckets to its ring successor
 //!   (who becomes the owner of its identifier interval), so cached
@@ -16,10 +19,9 @@
 //! partition additionally lives at the first `r` alive successors of its
 //! placed identifier, and [`ChurnNetwork::re_replicate`] restores that
 //! invariant after each membership change — so abrupt failures stop losing
-//! buckets. The companion [`ChurnNetwork::query_resilient`] path retries
-//! failed lookups with deterministic backoff
-//! ([`crate::resilient::RetryPolicy`]) and degrades to source fetch
-//! instead of erroring.
+//! buckets. [`ChurnNetwork::query_resilient`] retries failed lookups with
+//! deterministic backoff ([`crate::resilient::RetryPolicy`]) and degrades
+//! to source fetch instead of erroring.
 //!
 //! With [`SystemConfig::with_durability`] set, every peer additionally
 //! persists its bucket placements and evictions to a crash-faulted
@@ -46,7 +48,10 @@
 use crate::bucket::Match;
 use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
-use crate::network::{keep_better, place_identifier, QueryOutcome, RangeSelectNetwork};
+use crate::network::{
+    finish, hashed_range, keep_better, place_identifier, Answered, NetworkStats, PeerAccess,
+    QueryOutcome, RangeSelectNetwork,
+};
 use crate::peer::Peer;
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
@@ -145,7 +150,7 @@ impl ChurnNetwork {
         assert!(
             config.placement_mode == crate::config::PlacementMode::Independent,
             "layered placement is supported on the static-network query paths \
-             (sequential, batched, engine), not under churn"
+             (sequential, engine), not under churn"
         );
         let mut rng = DetRng::new(config.seed);
         let mut group_rng = rng.fork();
@@ -204,7 +209,8 @@ impl ChurnNetwork {
     /// Install a telemetry sink, shared with the underlying Chord network
     /// so `chord.*` lookup metrics and `resilient.*` retry metrics land in
     /// one recorder. Resilient queries open a `core.query` span
-    /// (`path="resilient"`); retries emit `resilient.retry` events;
+    /// (`path="resilient"`) and count in both `resilient.queries` and
+    /// `core.queries`; retries emit `resilient.retry` events;
     /// re-replication emits one `replica.store` event per copy written.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.chord.set_telemetry(telemetry.clone());
@@ -491,18 +497,6 @@ impl ChurnNetwork {
         self.latency_hist.record(lat);
         self.telemetry.record("resilient.lookup.latency", lat);
         (serving, lat, primary_lat)
-    }
-
-    /// Best match for `ident` held by `peer`, honoring the configured
-    /// read path (bucket-local or local-index scan).
-    fn read_candidate(&self, peer: Id, ident: u32, hashed_range: &RangeSet) -> Option<Match> {
-        self.storage.get(&peer.0).and_then(|p| {
-            if self.config.use_local_index {
-                p.best_across_buckets(hashed_range, self.config.matching)
-            } else {
-                p.best_in_bucket(ident, hashed_range, self.config.matching)
-            }
-        })
     }
 
     /// Number of alive peers.
@@ -1222,11 +1216,7 @@ impl ChurnNetwork {
     /// reconciliation restores.
     pub fn query_resilient(&mut self, q: &RangeSet) -> QueryOutcome {
         assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
+        let hashed_range = hashed_range(q, self.config.padding);
         let identifiers = self.groups.identifiers(&hashed_range);
         self.telemetry.counter_add("resilient.queries", 1);
         let span = self.telemetry.span(
@@ -1247,18 +1237,31 @@ impl ChurnNetwork {
         let mut query_lat = 0u64;
         let mut hops = Vec::with_capacity(identifiers.len());
         let mut owners: Vec<Id> = Vec::new();
-        let mut reached: Vec<u32> = Vec::new();
+        let mut store_targets = Vec::new();
         let mut attempts_total = 0usize;
         let mut best: Option<Match> = None;
         for &ident in &identifiers {
             let key = place_identifier(&self.config, ident);
+            let read = |net: &Self, peer: Id| {
+                let p = net.storage.get(&peer.0)?;
+                p.read(&[ident], &hashed_range, &net.config).0
+            };
             match self.lookup_with_retry(origin, key, &mut wall) {
                 Ok((owner, h, attempts)) => {
                     hops.push(h);
                     self.telemetry
                         .counter_add("resilient.lookup.hops", h as u64);
                     owners.push(owner);
-                    reached.push(ident);
+                    // The identifier's replica set, island-local while
+                    // partitioned: its cache-on-miss targets (a write
+                    // cannot cross the split) and degraded-read fallbacks.
+                    let r = self.config.replication;
+                    let replicas = if partitioned {
+                        self.chord.island_successors(origin, key, r)
+                    } else {
+                        self.chord.true_successors(key, r)
+                    };
+                    store_targets.extend(replicas.iter().map(|&replica| (ident, replica)));
                     attempts_total += attempts;
                     if partitioned && owner != self.chord.true_owner(key) {
                         // Routing converged island-locally, but the node
@@ -1275,12 +1278,12 @@ impl ChurnNetwork {
                         owners.push(serving);
                     }
                     query_lat += lat;
-                    let mut candidate = self.read_candidate(serving, ident, &hashed_range);
+                    let mut candidate = read(self, serving);
                     if candidate.is_none() && serving != owner {
                         // Replica-divergence safety net: the substitute's
                         // bucket was empty, so wait for the primary after
                         // all — recall must never pay for tail tolerance.
-                        candidate = self.read_candidate(owner, ident, &hashed_range);
+                        candidate = read(self, owner);
                         if candidate.is_some() {
                             query_lat = query_lat - lat + primary_lat.max(lat);
                         }
@@ -1289,14 +1292,8 @@ impl ChurnNetwork {
                         // Degraded read path: the routed owner came up
                         // empty, so consult the rest of the island-local
                         // replica set before giving up on this identifier.
-                        for replica in
-                            self.chord
-                                .island_successors(origin, key, self.config.replication)
-                        {
-                            if replica == owner {
-                                continue;
-                            }
-                            let held = self.read_candidate(replica, ident, &hashed_range);
+                        for &replica in replicas.iter().filter(|&&p| p != owner) {
+                            let held = read(self, replica);
                             if held.is_some() {
                                 owners.push(replica);
                                 candidate = held;
@@ -1325,7 +1322,7 @@ impl ChurnNetwork {
             .record("resilient.query.latency", query_latency);
         self.clock += query_latency;
 
-        let fell_back_to_source = reached.is_empty();
+        let fell_back_to_source = hops.is_empty();
         if fell_back_to_source {
             self.resilience.source_fallbacks += 1;
             self.telemetry.counter_add("resilient.source_fallbacks", 1);
@@ -1336,67 +1333,23 @@ impl ChurnNetwork {
                 .counter_add("resilient.partition_degraded", 1);
         }
 
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
-        let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            for &ident in &reached {
-                let targets = if partitioned {
-                    // A write cannot cross the split: cache the partition
-                    // at the island-local owners only.
-                    self.chord.island_successors(
-                        origin,
-                        place_identifier(&self.config, ident),
-                        self.config.replication,
-                    )
-                } else {
-                    self.replica_owners(ident)
-                };
-                for owner in targets {
-                    stored |= self.store_at(owner.0, ident, &hashed_range);
-                }
-            }
-        }
-
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
-        let mut distinct = owners;
-        distinct.sort_unstable();
-        distinct.dedup();
-        self.telemetry.span_end(
-            span,
-            &[
-                ("matched", best_match.is_some().into()),
-                ("exact", exact.into()),
-                ("attempts", attempts_total.into()),
-                ("fallback", fell_back_to_source.into()),
-                ("degraded", partition_degraded.into()),
-                ("similarity", similarity.into()),
-                ("recall", recall.into()),
-            ],
-        );
-        QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
+        let answered = Answered {
+            hashed_range,
             identifiers,
-            peers_contacted: distinct.len(),
+            best,
+            store_targets,
+            hops,
+            contacted: owners,
             attempts: attempts_total,
             fell_back_to_source,
             partition_degraded,
-        }
+            span,
+        };
+        // Churn keeps no `NetworkStats`; its ledger is `ResilienceStats`.
+        let telemetry = self.telemetry.clone();
+        let cache_on_miss = self.config.cache_on_miss;
+        let stats = &mut NetworkStats::default();
+        finish(cache_on_miss, &telemetry, self, stats, q, answered)
     }
 
     /// [`Self::query_resilient`] plus the virtual latency the query cost
@@ -1407,84 +1360,17 @@ impl ChurnNetwork {
         let outcome = self.query_resilient(q);
         (outcome, self.clock - start)
     }
+}
 
-    /// Execute one query through the live routing state. Fails only if
-    /// routing itself fails (possible mid-churn before stabilization).
-    pub fn query(&mut self, q: &RangeSet) -> Result<QueryOutcome, ChordError> {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
-        let identifiers = self.groups.identifiers(&hashed_range);
-        let origin = {
-            let ids = self.chord.node_ids();
-            ids[self.rng.gen_index(ids.len())]
-        };
-
-        let mut hops = Vec::with_capacity(identifiers.len());
-        let mut owners = Vec::with_capacity(identifiers.len());
-        let mut reached = 0usize;
-        let mut best: Option<Match> = None;
-        for &ident in &identifiers {
-            let (owner, h) = self
-                .chord
-                .lookup(origin, place_identifier(&self.config, ident))?;
-            hops.push(h);
-            owners.push(owner);
-            let Some(peer) = self.storage.get(&owner.0) else {
-                continue;
-            };
-            reached += 1;
-            let candidate = if self.config.use_local_index {
-                peer.best_across_buckets(&hashed_range, self.config.matching)
-            } else {
-                peer.best_in_bucket(ident, &hashed_range, self.config.matching)
-            };
-            if let Some(m) = candidate {
-                keep_better(&mut best, m);
-            }
-        }
-
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
-        let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            let targets: Vec<(u32, Id)> = identifiers.iter().copied().zip(owners.clone()).collect();
-            for (ident, owner) in targets {
-                stored |= self.store_at(owner.0, ident, &hashed_range);
-            }
-        }
-
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
-        let mut distinct = owners.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let attempts = identifiers.len();
-        Ok(QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: distinct.len(),
-            attempts,
-            fell_back_to_source: reached == 0,
-            partition_degraded: false,
-        })
+/// The churn network's storage behind the shared query tail: cache-on-miss
+/// stores go through [`ChurnNetwork::store_at`], so they keep the bucket
+/// ledger, the durable log and the partition-write count.
+impl PeerAccess for ChurnNetwork {
+    fn peer(&self, id: u32) -> Option<&Peer> {
+        self.storage.get(&id)
+    }
+    fn store(&mut self, owner: u32, ident: u32, range: &RangeSet) -> bool {
+        self.store_at(owner, ident, range)
     }
 }
 
@@ -1503,9 +1389,9 @@ mod tests {
     #[test]
     fn query_and_requery_as_in_static_network() {
         let mut net = small_net(1);
-        let miss = net.query(&r(30, 50)).unwrap();
+        let miss = net.query_resilient(&r(30, 50));
         assert!(!miss.exact);
-        let hit = net.query(&r(30, 50)).unwrap();
+        let hit = net.query_resilient(&r(30, 50));
         assert!(hit.exact);
         assert_eq!(hit.recall, 1.0);
     }
@@ -1513,20 +1399,20 @@ mod tests {
     #[test]
     fn freeze_snapshots_membership_and_storage() {
         let mut net = small_net(4);
-        net.query(&r(30, 50)).unwrap();
+        net.query_resilient(&r(30, 50));
         let frozen = net.freeze();
         assert_eq!(frozen.len(), net.len());
         assert_eq!(frozen.total_partitions(), net.total_partitions());
         // The snapshot is decoupled: querying the live network afterwards
         // does not change the frozen state.
-        net.query(&r(500, 600)).unwrap();
+        net.query_resilient(&r(500, 600));
         assert_eq!(frozen.stats().queries, 0);
     }
 
     #[test]
     fn frozen_network_serves_cached_partitions_through_the_engine() {
         let mut net = small_net(7);
-        net.query(&r(200, 260)).unwrap(); // cache the partition while live
+        net.query_resilient(&r(200, 260)); // cache the partition while live
         let mut frozen = net.freeze();
         let outs = frozen.query_batch_concurrent_with(
             &[r(200, 260), r(200, 260)],
@@ -1557,7 +1443,7 @@ mod tests {
     #[test]
     fn abrupt_failure_loses_cached_partitions() {
         let mut net = small_net(2);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let before = net.total_partitions();
         assert!(before >= 1);
         // Kill every peer that holds a partition copy (walk all peers).
@@ -1580,17 +1466,17 @@ mod tests {
         net.stabilize(128).expect("recovers");
         assert_eq!(net.total_partitions(), 0, "failed peers take data down");
         // The same query now misses again — and re-caches (soft state).
-        let miss_again = net.query(&r(100, 200)).unwrap();
+        let miss_again = net.query_resilient(&r(100, 200));
         assert!(!miss_again.exact);
         assert!(net.total_partitions() >= 1);
-        let hit = net.query(&r(100, 200)).unwrap();
+        let hit = net.query_resilient(&r(100, 200));
         assert!(hit.exact);
     }
 
     #[test]
     fn graceful_leave_preserves_cached_partitions() {
         let mut net = small_net(3);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let before = net.total_partitions();
         // Every holder leaves gracefully (handing buckets to successors).
         loop {
@@ -1619,14 +1505,14 @@ mod tests {
         );
         // And they are still *findable*: the successor now owns the
         // identifier interval the partitions were stored under.
-        let hit = net.query(&r(100, 200)).unwrap();
+        let hit = net.query_resilient(&r(100, 200));
         assert!(hit.exact, "handed-over partition must still be located");
     }
 
     #[test]
     fn join_does_not_disturb_existing_cache() {
         let mut net = small_net(4);
-        net.query(&r(5, 80)).unwrap();
+        net.query_resilient(&r(5, 80));
         for _ in 0..4 {
             net.join_random().unwrap();
         }
@@ -1637,7 +1523,7 @@ mod tests {
         // queries miss and re-cache. With 4 joins over 12 peers, at least
         // some copies usually stay findable; correctness (no crash, valid
         // outcome) is what this asserts.
-        let out = net.query(&r(5, 80)).unwrap();
+        let out = net.query_resilient(&r(5, 80));
         assert!(out.recall >= 0.0);
     }
 
@@ -1647,7 +1533,7 @@ mod tests {
         // Cache several partitions.
         let queries = [r(10, 60), r(200, 260), r(500, 580), r(800, 870)];
         for q in &queries {
-            net.query(q).unwrap();
+            net.query_resilient(q);
         }
         // Many joins with key migration: every previously cached partition
         // must remain an exact hit afterwards.
@@ -1656,7 +1542,7 @@ mod tests {
         }
         net.stabilize(64).expect("converges");
         for q in &queries {
-            let out = net.query(q).unwrap();
+            let out = net.query_resilient(q);
             assert!(
                 out.exact,
                 "partition for {q} lost after joins with migration"
@@ -1678,7 +1564,10 @@ mod tests {
                 net.join_random().unwrap();
                 net.stabilize(64).expect("converges");
             }
-            if net.query(q).is_ok() {
+            // Answered as the retry-free path would be: every lookup
+            // resolved on its first attempt.
+            let out = net.query_resilient(q);
+            if out.attempts == out.identifiers.len() {
                 answered += 1;
             }
         }
@@ -1706,8 +1595,8 @@ mod tests {
                 plain.stabilize(64).expect("recovers");
                 cached.stabilize(64).expect("recovers");
             }
-            let a = plain.query(q).unwrap();
-            let b = cached.query(q).unwrap();
+            let a = plain.query_resilient(q);
+            let b = cached.query_resilient(q);
             assert_eq!(a.best_match, b.best_match, "query {i}");
             assert_eq!(a.identifiers, b.identifiers, "query {i}");
             assert_eq!(a.stored, b.stored, "query {i}");
@@ -1772,23 +1661,6 @@ mod tests {
             ChurnNetwork::with_growth_rounds(10, SystemConfig::default().with_seed(8), 32, 64)
                 .is_ok()
         );
-    }
-
-    #[test]
-    fn query_resilient_matches_query_on_calm_network() {
-        let mut a = small_net(13);
-        let mut b = small_net(13);
-        for q in [r(30, 50), r(30, 50), r(200, 280)] {
-            let plain = a.query(&q).unwrap();
-            let res = b.query_resilient(&q);
-            assert_eq!(plain.best_match, res.best_match);
-            assert_eq!(plain.exact, res.exact);
-            assert_eq!(plain.recall, res.recall);
-            assert_eq!(res.attempts, 5, "no retries on a calm ring");
-            assert!(!res.fell_back_to_source);
-        }
-        assert_eq!(b.resilience().retries, 0);
-        assert_eq!(b.resilience().source_fallbacks, 0);
     }
 
     #[test]
@@ -1976,7 +1848,7 @@ mod tests {
     #[test]
     fn fail_counts_silently_discarded_buckets() {
         let mut net = small_net(2);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let live = net.total_partitions() as u64;
         assert!(live >= 1);
         assert_eq!(net.resilience().buckets_lost, 0);
@@ -2001,7 +1873,7 @@ mod tests {
     fn ledger_identity_holds_across_mixed_churn() {
         let mut net = ChurnNetwork::new(16, durable_config(9)).unwrap();
         for i in 0..8u32 {
-            net.query(&r(i * 40, i * 40 + 60)).unwrap();
+            net.query_resilient(&r(i * 40, i * 40 + 60));
             assert_ledger(&net);
         }
         net.fail_random(2);
@@ -2025,7 +1897,7 @@ mod tests {
     #[test]
     fn crash_without_durability_loses_buckets_but_restart_rejoins() {
         let mut net = small_net(4);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let n = net.len();
         let victim = net.crash_random(1)[0];
         assert_eq!(net.len(), n - 1);
@@ -2041,8 +1913,8 @@ mod tests {
     #[test]
     fn crash_restart_recovers_buckets_from_disk() {
         let mut net = ChurnNetwork::new(12, durable_config(6)).unwrap();
-        net.query(&r(100, 200)).unwrap();
-        assert!(net.query(&r(100, 200)).unwrap().exact, "warm cache");
+        net.query_resilient(&r(100, 200));
+        assert!(net.query_resilient(&r(100, 200)).exact, "warm cache");
         let before = net.total_partitions();
         // Crash every holder; with r = 1 the live cache is entirely gone.
         let holders: Vec<Id> = net
@@ -2070,7 +1942,7 @@ mod tests {
         net.stabilize(128).expect("recovers");
         assert_eq!(recovered, before, "every synced copy must replay");
         assert_eq!(net.total_partitions(), before);
-        assert!(net.query(&r(100, 200)).unwrap().exact, "cache survived");
+        assert!(net.query_resilient(&r(100, 200)).exact, "cache survived");
         assert_eq!(net.resilience().buckets_recovered, before as u64);
         assert_ledger(&net);
     }

@@ -82,8 +82,8 @@ pub struct SystemConfig {
     /// Bucket layout / lookup strategy (see [`PlacementMode`]). The
     /// default `Independent` keeps every query path bit-identical to the
     /// pre-layered system; `Layered` is the opt-in half-the-lookups mode,
-    /// supported on the static-network paths (sequential, batched, and
-    /// concurrent engine).
+    /// supported on the static-network paths (sequential and concurrent
+    /// engine).
     pub placement_mode: PlacementMode,
     /// Multi-probe budget: extra ranked candidate identifiers
     /// (`ars_lsh::probe`) checked at visited peers in layered mode. `0`
@@ -115,8 +115,8 @@ pub struct SystemConfig {
     /// Capacity of the identifier memo cache
     /// ([`crate::network::IdentifierCache`]) in distinct ranges; `0` (the
     /// default) is unbounded. When bounded, entries are evicted FIFO —
-    /// insertion order, never perturbed by hits — so the sequential and
-    /// batched query paths evict identically.
+    /// insertion order, never perturbed by hits — so the sequential path
+    /// and a one-shard concurrent engine evict identically.
     pub ident_cache_capacity: usize,
     /// Capacity of the Chord route cache (entries) consulted by lookups
     /// under churn ([`ars_chord::RouteCacheStats`]); `0` (the default)

@@ -340,10 +340,10 @@ impl PeerAccess for ShardedView<'_> {
         let (_, guard) = self.guards.iter().find(|(i, _)| *i == s)?;
         guard.peers.get(&id)
     }
-    fn peer_mut(&mut self, id: u32) -> Option<&mut Peer> {
-        let s = shard_of(id, self.nshards);
-        let (_, guard) = self.guards.iter_mut().find(|(i, _)| *i == s)?;
-        guard.peers.get_mut(&id)
+    fn store(&mut self, owner: u32, ident: u32, range: &RangeSet) -> bool {
+        let s = shard_of(owner, self.nshards);
+        let guard = self.guards.iter_mut().find(|(i, _)| *i == s);
+        guard.is_some_and(|(_, g)| g.peers.store(owner, ident, range))
     }
 }
 
@@ -359,18 +359,11 @@ struct ShardStats<'a> {
 
 impl StatsSink for ShardStats<'_> {
     fn on_lookup(&mut self, owner: Id, hops: usize) {
-        let mut stats = self.shards[shard_of(owner.0, self.nshards)].stats.lock();
-        stats.lookups += 1;
-        stats.total_hops += hops as u64;
+        let shard = &self.shards[shard_of(owner.0, self.nshards)];
+        shard.stats.lock().on_lookup(owner, hops);
     }
-    fn on_dedup_saved(&mut self, count: usize) {
-        self.shards[self.home].stats.lock().dedup_saved_lookups += count as u64;
-    }
-    fn on_walk(&mut self, steps: usize) {
-        self.shards[self.home].stats.lock().walk_steps += steps as u64;
-    }
-    fn on_probes(&mut self, count: usize) {
-        self.shards[self.home].stats.lock().probe_checks += count as u64;
+    fn on_plan(&mut self, plan: &QueryPlan) {
+        self.shards[self.home].stats.lock().on_plan(plan);
     }
     fn on_query(&mut self, matched: bool, exact: bool, stored: bool) {
         self.shards[self.home]

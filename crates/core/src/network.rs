@@ -9,9 +9,10 @@
 //! A query is two steps. [`QueryPlan::build`] is pure: it routes the
 //! lookups over the immutable ring and lists the peers to read, the
 //! buckets to check at each and the store targets. [`commit`] then
-//! matches, caches on a miss and records stats through the
+//! reads, matches, caches on a miss and records stats through the
 //! [`PeerAccess`]/[`StatsSink`] seam, so the sequential path and the
-//! concurrent engine ([`crate::engine`]) run one body of code.
+//! concurrent engine ([`crate::engine`]) run one body of code. Its tail,
+//! [`finish`], is also where the churn network's resilient query ends.
 
 use crate::bucket::Match;
 use crate::config::{Placement, PlacementMode, SystemConfig};
@@ -19,7 +20,7 @@ use crate::peer::Peer;
 use ars_chord::{arc_base, layered_position, Id, Ring};
 use ars_common::{DetRng, FxHashMap};
 use ars_lsh::{HashGroups, RangeSet};
-use ars_telemetry::Telemetry;
+use ars_telemetry::{SpanId, Telemetry};
 use std::ops::Range;
 
 /// The result of one range query.
@@ -275,39 +276,39 @@ impl NetworkStats {
     }
 }
 
-/// Mutable access to peers by ring position — the seam that lets
-/// [`commit`] run against either the network's global peer map or the
-/// concurrent engine's locked shard views.
+/// Peer reads and cache stores by ring position — the seam that lets
+/// [`commit`] and [`finish`] run against the network's global peer map,
+/// the concurrent engine's locked shard views or the churn network's
+/// ledgered store.
 pub(crate) trait PeerAccess {
     /// The peer at `id`, if present.
     fn peer(&self, id: u32) -> Option<&Peer>;
-    /// Mutable access to the peer at `id`, if present.
-    fn peer_mut(&mut self, id: u32) -> Option<&mut Peer>;
+    /// Cache `range` under `ident` at the peer at `owner`. True if newly
+    /// stored; false if the peer is absent or already holds the range.
+    fn store(&mut self, owner: u32, ident: u32, range: &RangeSet) -> bool;
 }
 
 impl PeerAccess for FxHashMap<u32, Peer> {
     fn peer(&self, id: u32) -> Option<&Peer> {
         self.get(&id)
     }
-    fn peer_mut(&mut self, id: u32) -> Option<&mut Peer> {
-        self.get_mut(&id)
+    fn store(&mut self, owner: u32, ident: u32, range: &RangeSet) -> bool {
+        self.get_mut(&owner)
+            .is_some_and(|p| p.store(ident, range.clone()))
     }
 }
 
-/// Where [`commit`] records its counters — the global [`NetworkStats`] on
-/// the sequential path, per-shard accumulators in the concurrent engine.
+/// Where [`commit`] and [`finish`] record their counters — the global
+/// [`NetworkStats`] on the sequential path, per-shard accumulators in the
+/// concurrent engine.
 /// Every update is an addition, so any sink placement that eventually
 /// sums preserves the ledgers.
 pub(crate) trait StatsSink {
     /// One identifier lookup routed in `hops` overlay hops to `owner`.
     fn on_lookup(&mut self, owner: Id, hops: usize);
-    /// `count` lookups skipped because their identifier repeated within
-    /// the query.
-    fn on_dedup_saved(&mut self, count: usize);
-    /// `steps` successor-walk messages spent by a layered query.
-    fn on_walk(&mut self, steps: usize);
-    /// `count` multi-probe candidate buckets checked locally.
-    fn on_probes(&mut self, count: usize);
+    /// A plan's per-query counts: lookups skipped as repeats,
+    /// successor-walk messages and local multi-probe checks.
+    fn on_plan(&mut self, plan: &QueryPlan);
     /// One query finished.
     fn on_query(&mut self, matched: bool, exact: bool, stored: bool);
 }
@@ -317,14 +318,10 @@ impl StatsSink for NetworkStats {
         self.lookups += 1;
         self.total_hops += hops as u64;
     }
-    fn on_dedup_saved(&mut self, count: usize) {
-        self.dedup_saved_lookups += count as u64;
-    }
-    fn on_walk(&mut self, steps: usize) {
-        self.walk_steps += steps as u64;
-    }
-    fn on_probes(&mut self, count: usize) {
-        self.probe_checks += count as u64;
+    fn on_plan(&mut self, plan: &QueryPlan) {
+        self.dedup_saved_lookups += plan.dedup_saved as u64;
+        self.walk_steps += plan.walk_steps as u64;
+        self.probe_checks += plan.probe_checks as u64;
     }
     fn on_query(&mut self, matched: bool, exact: bool, stored: bool) {
         self.queries += 1;
@@ -495,10 +492,11 @@ impl QueryPlan {
     }
 }
 
-/// The commit half of a query — matching, caching, stats, telemetry —
-/// against any [`PeerAccess`]/[`StatsSink`] pair. The sequential path and
-/// the engine's sharded commits both run it, so they replay the exact
-/// same per-owner update order.
+/// The commit half of a static-ring query: lookup stats, the bucket
+/// reads, then the shared [`finish`], against any
+/// [`PeerAccess`]/[`StatsSink`] pair. The sequential path and the
+/// engine's sharded commits both run it, so they replay the exact same
+/// per-owner update order.
 ///
 /// `emit_span` gates the per-query `core.query` span: the sequential path
 /// emits it (trace tests pin the event order), the concurrent engine does
@@ -513,32 +511,31 @@ pub(crate) fn commit<P: PeerAccess, S: StatsSink>(
     plan: QueryPlan,
     emit_span: bool,
 ) -> QueryOutcome {
-    let span =
-        emit_span.then(|| telemetry.span("core.query", &[("l", plan.identifiers.len().into())]));
+    let span = if emit_span {
+        telemetry.span("core.query", &[("l", plan.identifiers.len().into())])
+    } else {
+        SpanId::NONE
+    };
     for &(owner, hops) in &plan.lookups {
         stats.on_lookup(owner, hops);
         telemetry.record("core.lookup.hops", hops as u64);
     }
+    stats.on_plan(&plan);
     if plan.dedup_saved > 0 {
         // Two groups hashed the range to the same bucket: its second
         // lookup was never routed.
-        stats.on_dedup_saved(plan.dedup_saved);
         telemetry.counter_add("core.dedup.saved_lookups", plan.dedup_saved as u64);
     }
     if plan.walk_steps > 0 {
-        stats.on_walk(plan.walk_steps);
         telemetry.counter_add("core.walk.steps", plan.walk_steps as u64);
     }
     if plan.probe_checks > 0 {
-        stats.on_probes(plan.probe_checks);
         telemetry.counter_add("core.probe.checks", plan.probe_checks as u64);
     }
 
     // Collect the best match over every read. A peer without storage
-    // state (impossible on a static ring, but reachable through reuse
-    // under churn) is skipped rather than panicking; the outcome records
-    // whether *any* peer was reachable.
-    let hashed_range = &plan.hashed_range;
+    // state is skipped rather than panicking; the outcome records whether
+    // *any* peer was reachable.
     let mut reached = 0usize;
     let mut best: Option<Match> = None;
     for (peer_id, slice) in &plan.reads {
@@ -546,50 +543,81 @@ pub(crate) fn commit<P: PeerAccess, S: StatsSink>(
             continue;
         };
         reached += 1;
-        let buckets = &plan.buckets[slice.clone()];
-        let scan_len = if config.use_local_index {
-            peer.partition_count()
-        } else {
-            buckets
-                .iter()
-                .map(|&b| peer.bucket(b).map_or(0, |b| b.len()))
-                .sum()
-        };
-        telemetry.record("core.bucket.scan_len", scan_len as u64);
-        if config.use_local_index {
-            if let Some(m) = peer.best_across_buckets(hashed_range, config.matching) {
-                keep_better(&mut best, m);
-            }
-        } else {
-            for &b in buckets {
-                if let Some(m) = peer.best_in_bucket(b, hashed_range, config.matching) {
-                    keep_better(&mut best, m);
-                }
-            }
+        let (m, scanned) = peer.read(&plan.buckets[slice.clone()], &plan.hashed_range, config);
+        telemetry.record("core.bucket.scan_len", scanned as u64);
+        if let Some(m) = m {
+            keep_better(&mut best, m);
         }
     }
-    let exact = best.as_ref().is_some_and(|m| m.range == *hashed_range);
+    let answered = Answered {
+        hashed_range: plan.hashed_range,
+        identifiers: plan.identifiers,
+        best,
+        store_targets: plan.store_targets,
+        hops: plan.lookups.iter().map(|&(_, h)| h).collect(),
+        contacted: plan.reads.iter().map(|&(p, _)| p).collect(),
+        attempts: plan.lookups.len(),
+        fell_back_to_source: reached == 0,
+        partition_degraded: false,
+        span,
+    };
+    finish(config.cache_on_miss, telemetry, peers, stats, q, answered)
+}
+
+/// What a query path hands [`finish`] once its routing and reads are
+/// done. The routing fields mean what they mean on [`QueryOutcome`].
+pub(crate) struct Answered {
+    /// The (padded) range the query hashed, matched and caches.
+    pub(crate) hashed_range: RangeSet,
+    pub(crate) identifiers: Vec<u32>,
+    /// The best match over every read.
+    pub(crate) best: Option<Match>,
+    /// Cache-on-miss targets `(identifier, owner)`, stored in order.
+    pub(crate) store_targets: Vec<(u32, Id)>,
+    pub(crate) hops: Vec<usize>,
+    /// Every peer contacted, repeats allowed ([`finish`] counts them once).
+    pub(crate) contacted: Vec<Id>,
+    pub(crate) attempts: usize,
+    pub(crate) fell_back_to_source: bool,
+    pub(crate) partition_degraded: bool,
+    /// The path's `core.query` span, closed by [`finish`].
+    pub(crate) span: SpanId,
+}
+
+/// The tail every query path shares once it knows its best match: the
+/// exact check, the cache-on-miss stores, scoring against the original
+/// query `q`, [`StatsSink::on_query`], the `core.queries`/`core.query.*`
+/// telemetry, the close of the span (a no-op for [`SpanId::NONE`]) and
+/// the [`QueryOutcome`]. The static ring, the engine and the churn network
+/// all end here.
+pub(crate) fn finish<P: PeerAccess, S: StatsSink>(
+    cache_on_miss: bool,
+    telemetry: &Telemetry,
+    peers: &mut P,
+    stats: &mut S,
+    q: &RangeSet,
+    a: Answered,
+) -> QueryOutcome {
+    let exact = a.best.as_ref().is_some_and(|m| m.range == a.hashed_range);
+    let mut contacted = a.contacted;
+    contacted.sort_unstable();
+    contacted.dedup();
 
     // Cache on miss: store the (padded) partition at every target.
     let mut stored = false;
-    if config.cache_on_miss && !exact {
-        for &(ident, owner) in &plan.store_targets {
-            if let Some(peer) = peers.peer_mut(owner.0) {
-                stored |= peer.store(ident, hashed_range.clone());
-            }
+    if cache_on_miss && !exact {
+        for &(ident, owner) in &a.store_targets {
+            stored |= peers.store(owner.0, ident, &a.hashed_range);
         }
     }
 
     // Score the match against the *original* query: similarity for
     // Figs. 6–7, recall for Figs. 8–10.
-    let best_match = best.map(|m| m.range);
+    let best_match = a.best.map(|m| m.range);
     let (similarity, recall) = match &best_match {
         Some(m) => (q.jaccard(m), q.containment_in(m)),
         None => (0.0, 0.0),
     };
-    let mut contacted: Vec<u32> = plan.reads.iter().map(|(p, _)| p.0).collect();
-    contacted.sort_unstable();
-    contacted.dedup();
 
     stats.on_query(best_match.is_some(), exact, stored);
     telemetry.counter_add("core.queries", 1);
@@ -598,19 +626,19 @@ pub(crate) fn commit<P: PeerAccess, S: StatsSink>(
         telemetry.record("core.query.jaccard", (similarity * 1000.0) as u64);
         telemetry.record("core.query.recall", (recall * 1000.0) as u64);
     }
-    if let Some(span) = span {
-        telemetry.span_end(
-            span,
-            &[
-                ("matched", best_match.is_some().into()),
-                ("exact", exact.into()),
-                ("stored", stored.into()),
-                ("similarity", similarity.into()),
-                ("recall", recall.into()),
-                ("fallback", (reached == 0).into()),
-            ],
-        );
-    }
+    telemetry.span_end(
+        a.span,
+        &[
+            ("matched", best_match.is_some().into()),
+            ("exact", exact.into()),
+            ("stored", stored.into()),
+            ("attempts", a.attempts.into()),
+            ("fallback", a.fell_back_to_source.into()),
+            ("degraded", a.partition_degraded.into()),
+            ("similarity", similarity.into()),
+            ("recall", recall.into()),
+        ],
+    );
 
     QueryOutcome {
         query: q.clone(),
@@ -619,12 +647,12 @@ pub(crate) fn commit<P: PeerAccess, S: StatsSink>(
         recall,
         exact,
         stored,
-        hops: plan.lookups.iter().map(|&(_, h)| h).collect(),
-        identifiers: plan.identifiers,
+        hops: a.hops,
+        identifiers: a.identifiers,
         peers_contacted: contacted.len(),
-        attempts: plan.lookups.len(),
-        fell_back_to_source: reached == 0,
-        partition_degraded: false,
+        attempts: a.attempts,
+        fell_back_to_source: a.fell_back_to_source,
+        partition_degraded: a.partition_degraded,
     }
 }
 

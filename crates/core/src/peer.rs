@@ -1,8 +1,9 @@
 //! Per-peer storage state: identifier buckets and the §5.3 local index.
 
 use crate::bucket::{best_of, Bucket, Match};
-use crate::config::MatchMeasure;
+use crate::config::{MatchMeasure, SystemConfig};
 use crate::index::IntervalIndex;
+use crate::network::keep_better;
 use ars_chord::Id;
 use ars_common::FxHashMap;
 use ars_lsh::RangeSet;
@@ -71,6 +72,33 @@ impl Peer {
     /// scored.
     pub fn best_across_buckets(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
         self.index.best_match(query, measure)
+    }
+
+    /// One bucket read, the choice every query path shares: the best
+    /// match for `query` in `buckets` (the paper's base procedure; ties go
+    /// to the earlier bucket) or, with [`SystemConfig::use_local_index`],
+    /// across every bucket this peer holds (§5.3). Also returns how many
+    /// stored partitions the read covers, the `core.bucket.scan_len`
+    /// sample.
+    pub(crate) fn read(
+        &self,
+        buckets: &[u32],
+        query: &RangeSet,
+        config: &SystemConfig,
+    ) -> (Option<Match>, usize) {
+        if config.use_local_index {
+            let best = self.best_across_buckets(query, config.matching);
+            return (best, self.partition_count());
+        }
+        let mut best = None;
+        let mut scanned = 0;
+        for bucket in buckets.iter().filter_map(|b| self.buckets.get(b)) {
+            scanned += bucket.len();
+            if let Some(m) = bucket.best_match(query, config.matching) {
+                keep_better(&mut best, m);
+            }
+        }
+        (best, scanned)
     }
 
     /// Reference implementation of [`Self::best_across_buckets`] as a full

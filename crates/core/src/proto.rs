@@ -12,7 +12,7 @@
 //! equal, query for query, to the direct-call one.
 
 use crate::bucket::Match;
-use crate::config::{MatchMeasure, SystemConfig};
+use crate::config::SystemConfig;
 use crate::network::{
     distinct_identifiers, hashed_range, keep_better, place_identifier, QueryOutcome,
 };
@@ -255,8 +255,7 @@ struct PeerNode {
     id: Id,
     info: Arc<RingInfo>,
     storage: Peer,
-    matching: MatchMeasure,
-    use_local_index: bool,
+    config: SystemConfig,
     sink: ReplySink,
 }
 
@@ -270,19 +269,9 @@ impl PeerNode {
         hops: u32,
         payload: Payload,
     ) {
-        let key_id = Id(key);
-        let owner = self.info.ring.successor_of(key_id);
-        if owner == self.id {
+        let Some(next) = self.info.ring.next_hop(self.id, Id(key)) else {
             self.handle_owned(ctx, ident, hops, payload);
             return;
-        }
-        // Greedy Chord forwarding using this node's finger table.
-        let table = self.info.ring.finger_table(self.id);
-        let succ = table.successor();
-        let next = if key_id.in_open_closed(self.id, succ) {
-            succ
-        } else {
-            table.closest_preceding(key_id).unwrap_or(succ)
         };
         let next_idx = self.info.index_of[&next.0];
         ctx.send(
@@ -310,11 +299,7 @@ impl PeerNode {
                 range,
             } => {
                 let q = from_wire(&range);
-                let best = if self.use_local_index {
-                    self.storage.best_across_buckets(&q, self.matching)
-                } else {
-                    self.storage.best_in_bucket(ident, &q, self.matching)
-                };
+                let (best, _) = self.storage.read(&[ident], &q, &self.config);
                 ctx.send(
                     origin as usize,
                     ProtoMsg::MatchReply {
@@ -463,8 +448,7 @@ impl<T: Transport> ProtoDriver<T> {
                 id,
                 info: info.clone(),
                 storage: Peer::new(id),
-                matching: config.matching,
-                use_local_index: config.use_local_index,
+                config: config.clone(),
                 sink: sink.clone(),
             })
             .collect();

@@ -28,7 +28,7 @@
 //! | `chord.resilient.hops` | counter | total DFS hops |
 //! | `chord.resilient.backtracks` | counter | DFS dead-end pops |
 //! | `chord.resilient.lookup.hops` | hist | hops per DFS lookup |
-//! | `core.queries` | counter | range queries through `RangeSelectNetwork` |
+//! | `core.queries` | counter | range queries through the shared query tail (static, engine and churn paths) |
 //! | `core.ident_cache.hits` | counter | identifier-cache hits |
 //! | `core.ident_cache.misses` | counter | identifier-cache misses |
 //! | `core.bucket.scan_len` | hist | partitions scanned per bucket probe |

@@ -244,10 +244,11 @@ impl MetricsSnapshot {
     }
 
     /// Overlay messages per executed query: [`Self::total_messages`] over
-    /// the queries recorded on either query path (`core.queries`,
-    /// `resilient.queries`). `0.0` before any query ran.
+    /// `core.queries`, which the query tail shared by the static, engine
+    /// and churn paths counts once per query (a churn query also counts
+    /// in `resilient.queries`). `0.0` before any query ran.
     pub fn messages_per_query(&self) -> f64 {
-        let queries = self.counter("core.queries") + self.counter("resilient.queries");
+        let queries = self.counter("core.queries");
         if queries == 0 {
             0.0
         } else {
@@ -269,7 +270,8 @@ mod tests {
         r.counter_add("resilient.lookup.hops", 2);
         r.counter_add("resilient.hedge_hops", 1);
         r.counter_add("resilient.probes", 6);
-        r.counter_add("core.queries", 2);
+        // Three queries, one of them on the churn path.
+        r.counter_add("core.queries", 3);
         r.counter_add("resilient.queries", 1);
         // Local probe checks are not messages and must not count.
         r.counter_add("core.probe.checks", 100);

@@ -12,7 +12,10 @@
 //! (the capture procedure; see EXPERIMENTS.md).
 
 use ars_core::config::{MatchMeasure, PlacementMode};
-use ars_core::{QueryOutcome, RangeSelectNetwork, SystemConfig};
+use ars_core::{
+    BreakerConfig, ChurnNetwork, DurabilityConfig, HedgePolicy, QueryOutcome, RangeSelectNetwork,
+    SystemConfig,
+};
 use ars_lsh::{LshFamilyKind, RangeSet};
 
 /// FNV-1a over a byte slice, folded into `h`.
@@ -318,4 +321,161 @@ fn sharded_engine_reference_matches_goldens() {
         let outcomes = net.query_trace_sharded(&golden_trace(), 16);
         digest_run(&net, &outcomes)
     });
+}
+
+/// One churn scenario over the golden trace, digested: every outcome's
+/// full debug rendering, then the resilience counters, the storage
+/// inventory and the virtual clock. The first third of the trace warms
+/// the cache on a calm ring; `fault` then disturbs the network and the
+/// rest of the trace runs through `query_resilient`; `after` runs once
+/// the trace is done (e.g. a heal) and is followed by a final replay of
+/// the warm third.
+fn digest_churn(
+    config: SystemConfig,
+    fault: impl Fn(&mut ChurnNetwork),
+    after: impl Fn(&mut ChurnNetwork),
+) -> u64 {
+    let mut net = ChurnNetwork::new(24, config).expect("growth converges");
+    let trace = golden_trace();
+    let (warm, rest) = trace.split_at(trace.len() / 3);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut run = |net: &mut ChurnNetwork, qs: &[RangeSet]| {
+        for q in qs {
+            fnv(&mut h, format!("{:?}", net.query_resilient(q)).as_bytes());
+        }
+    };
+    run(&mut net, warm);
+    fault(&mut net);
+    run(&mut net, rest);
+    after(&mut net);
+    run(&mut net, warm);
+    fnv(&mut h, format!("{:?}", net.resilience()).as_bytes());
+    fnv(&mut h, format!("{:?}", net.inventory()).as_bytes());
+    fnv(&mut h, &net.clock().to_le_bytes());
+    h
+}
+
+/// Churn scenarios at seeds 0–3, captured before `ChurnNetwork::query`
+/// was retired and the resilient path moved onto the shared commit tail.
+const GOLDEN_CHURN: [(&str, [u64; 4]); 6] = [
+    (
+        "calm r=1",
+        [
+            0xdf50_2dec_a975_a806,
+            0xecb7_dcbf_5681_139b,
+            0xfbcc_fcf4_8336_ba62,
+            0x511c_65da_53b5_0957,
+        ],
+    ),
+    (
+        "fail+loss r=2",
+        [
+            0xb512_703e_a4a9_75ec,
+            0xf382_d45c_0ad5_cb9f,
+            0x785c_e03b_656b_98f4,
+            0x5529_3980_d498_82f1,
+        ],
+    ),
+    (
+        "partition+heal",
+        [
+            0x45fa_eac1_6157_9e09,
+            0x9446_52f2_5ff6_07bf,
+            0x6c58_ad92_339d_cce3,
+            0x4e65_6ada_9051_acd8,
+        ],
+    ),
+    (
+        "slow+breakers+hedging",
+        [
+            0x8ae7_4ed7_84c9_ae90,
+            0x2a42_34f8_cdbf_df18,
+            0x71fb_7e49_6ad5_626a,
+            0x4477_35b0_1e75_cd42,
+        ],
+    ),
+    (
+        "local-index+padding",
+        [
+            0xdfd3_7e7c_eb89_47e4,
+            0x2c23_0af6_f930_692b,
+            0xff35_b722_c5de_557c,
+            0x8c8d_3512_2c96_79b1,
+        ],
+    ),
+    (
+        "durable crash+restart",
+        [
+            0x3014_119e_dbfe_aa0d,
+            0x8d8a_2aa6_c4dd_1734,
+            0xa422_4800_e903_18f2,
+            0xe190_17a5_2df2_4275,
+        ],
+    ),
+];
+
+#[test]
+fn churn_outcomes_match_goldens() {
+    let base = |seed: u64| SystemConfig::default().with_seed(seed);
+    let none = |_: &mut ChurnNetwork| {};
+    for (name, goldens) in &GOLDEN_CHURN {
+        check_goldens(name, goldens, |seed| match *name {
+            "calm r=1" => digest_churn(base(seed), none, none),
+            "fail+loss r=2" => digest_churn(
+                base(seed).with_replication(2),
+                |net| {
+                    net.fail_random(3);
+                    net.set_lookup_loss(0.2);
+                },
+                none,
+            ),
+            "partition+heal" => digest_churn(
+                base(seed).with_replication(2),
+                |net| {
+                    let ids = net.chord().node_ids();
+                    net.partition(&[ids[6..].to_vec(), ids[..6].to_vec()]);
+                    net.stabilize(128);
+                },
+                |net| {
+                    net.heal();
+                    net.stabilize(128);
+                    net.settle(2);
+                },
+            ),
+            "slow+breakers+hedging" => digest_churn(
+                base(seed).with_replication(2),
+                |net| {
+                    net.enable_breakers(BreakerConfig::default());
+                    net.enable_hedging(HedgePolicy::default());
+                    for _ in 0..3 {
+                        net.probe_peers();
+                    }
+                    net.slow_fraction(0.2, 10);
+                    for _ in 0..2 {
+                        net.probe_peers();
+                    }
+                },
+                none,
+            ),
+            "local-index+padding" => digest_churn(
+                base(seed).with_local_index(true).with_padding(0.2),
+                none,
+                none,
+            ),
+            "durable crash+restart" => digest_churn(
+                base(seed)
+                    .with_replication(2)
+                    .with_durability(DurabilityConfig::default()),
+                |net| {
+                    for id in net.crash_random(3) {
+                        net.restart(id).expect("crashed peer restarts");
+                    }
+                },
+                |net| {
+                    net.repair_until_quiescent(16, 64);
+                },
+            ),
+            other => unreachable!("unknown churn scenario {other}"),
+        });
+    }
 }
